@@ -342,12 +342,7 @@ def decompose(spec: DecompositionSpec) -> AugmentedMatrix:
     """
     if spec.p or spec.q:
         raise SpecificationError("decompose takes no equality/memory constraints")
-    indexer = _make_indexer(spec)
-    factors = tuple(_build_factor(spec, t, indexer) for t in range(1, spec.depth + 1))
-    product = factors[0]
-    for factor in factors[1:]:
-        product = product @ factor
-    return AugmentedMatrix(spec, indexer, factors, product.tocsr())
+    return decompose_improved(spec)
 
 
 def decompose_improved(spec: DecompositionSpec) -> AugmentedMatrix:
@@ -604,7 +599,7 @@ def spectrum_via_decomposition(
     """
     if spec.model is not Model.DQCK:
         raise SpecificationError("decomposition read-off applies to DQCK trace forms")
-    vs, free_count, _ = _fourier._restricted_chain(spec, rho)
+    vs, free_count, _, _ = _fourier._restricted_chain(spec, rho)
     dspec = DecompositionSpec(
         space=spec.space,
         matrices=tuple(vs),

@@ -10,12 +10,12 @@ tightness family attains the level-d growth ceiling exactly.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
 from .errors import ParameterError, ResourceLimitError, ShapeError, ValidationError
+from .fourier import fwht
 from .linalg import MAX_QUBITS, f2_inner, hadamard_matrix
 from .models import CircuitBundle, Restriction, interference_circuit
 
@@ -45,29 +45,15 @@ class ForrelationInstance:
         object.__setattr__(self, "blocks", blocks)
 
 
-def _fht_state(psi: np.ndarray) -> np.ndarray:
-    """Apply the unitary Hadamard transform to a statevector in place-ish."""
-    out = psi.copy()
-    width = 1
-    size = out.size
-    while width < size:
-        out = out.reshape(-1, 2, width)
-        top = out[:, 0, :] + out[:, 1, :]
-        bottom = out[:, 0, :] - out[:, 1, :]
-        out = np.stack([top, bottom], axis=1).reshape(-1)
-        width *= 2
-    return out / np.sqrt(size)
-
-
 def forr(inst: ForrelationInstance) -> float:
     """The amplitude, by statevector evolution with the fast transform."""
     size = 1 << inst.n
     psi = np.zeros(size)
     psi[0] = 1.0
-    psi = _fht_state(psi)
+    psi = fwht(psi) / np.sqrt(size)
     for t in range(inst.k - 1, -1, -1):
         psi = inst.blocks[t] * psi
-        psi = _fht_state(psi)
+        psi = fwht(psi) / np.sqrt(size)
     return float(psi[0])
 
 
@@ -229,7 +215,7 @@ def forrelated_instance(k: int, n: int, rng: np.random.Generator) -> Forrelation
     pattern of the transformed previous block.  No distributional claim."""
     blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
     if k >= 2:
-        transformed = _fht_state(blocks[k - 2].copy())
+        transformed = fwht(blocks[k - 2]) / np.sqrt(1 << n)
         signs = np.where(transformed >= 0, 1.0, -1.0)
         blocks[k - 1] = signs
     return ForrelationInstance(k, n, blocks)
@@ -241,11 +227,3 @@ def instance_to_json(inst: ForrelationInstance) -> dict:
 
 def instance_from_json(doc: dict) -> ForrelationInstance:
     return ForrelationInstance(int(doc["k"]), int(doc["n"]), np.asarray(doc["blocks"], float))
-
-
-def load_instances(path: str):
-    with open(path, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
-    if isinstance(doc, dict):
-        doc = [doc]
-    return [instance_from_json(entry) for entry in doc]

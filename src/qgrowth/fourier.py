@@ -24,7 +24,7 @@ from .errors import (
     SpecificationError,
     ValidationError,
 )
-from .linalg import MAX_QUBITS, IndexSpace, f2_inner, sign_hadamard
+from .linalg import MAX_QUBITS, f2_inner, sign_hadamard
 from .models import AlgorithmSpec, Model, Restriction, formula_matrices, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
@@ -45,14 +45,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
         out = np.stack([top, bottom], axis=1).reshape(-1)
         width *= 2
     return out
-
-
-def _popcounts(num_vars: int) -> np.ndarray:
-    masks = np.arange(1 << num_vars, dtype=np.int64)
-    counts = np.zeros(masks.size, dtype=np.int64)
-    for shift in range(num_vars):
-        counts += (masks >> shift) & 1
-    return counts
 
 
 def level_masks(num_vars: int, level: int):
@@ -148,12 +140,8 @@ def embed_spectrum(sp: FourierSpectrum, rho: Restriction) -> FourierSpectrum:
         )
     if len(rho) > MAX_QUBITS:
         raise ResourceLimitError(f"embedding over {len(rho)} variables exceeds cap")
-    masks = np.arange(1 << sp.num_vars, dtype=np.int64)
-    targets = np.zeros(masks.size, dtype=np.int64)
-    for j, coord in enumerate(free.tolist()):
-        targets |= ((masks >> j) & 1) << coord
     coeffs = np.zeros(1 << len(rho))
-    coeffs[targets] = sp.coeffs
+    coeffs[rho.embed_masks()] = sp.coeffs
     return FourierSpectrum(len(rho), coeffs)
 
 
@@ -166,7 +154,7 @@ def growth(sp: FourierSpectrum, level: int) -> float:
         raise ParameterError(f"level must be nonnegative, got {level}")
     if level > sp.num_vars:
         return 0.0
-    counts = _popcounts(sp.num_vars)
+    counts = np.bitwise_count(np.arange(1 << sp.num_vars))
     return float(np.sum(np.abs(sp.coeffs[counts == level])))
 
 
@@ -297,44 +285,25 @@ def maximizing_signs(sp: FourierSpectrum, level: int) -> SignFamily:
 # direct-summation coefficient oracles
 
 
-def _oracle_prefix_permutation(n: int, rho: Restriction) -> np.ndarray:
-    """perm[old_coord] = new_coord, free coordinates first (ascending each)."""
-    order = np.concatenate([rho.free_indices, rho.fixed_indices])
-    perm = np.empty(n, dtype=np.int64)
-    perm[order] = np.arange(n)
-    return perm
-
-
-def _permute_matrix_oracle(mat: np.ndarray, space: IndexSpace, perm: np.ndarray) -> np.ndarray:
-    wk = space.work_dim * space.clean_dim
-    flats = np.arange(space.total_dim)
-    new_flats = perm[flats // wk] * wk + flats % wk
-    old_of_new = np.empty_like(flats)
-    old_of_new[new_flats] = flats
-    return mat[np.ix_(old_of_new, old_of_new)]
-
-
 def _restricted_chain(spec: AlgorithmSpec, rho: Optional[Restriction]):
     """Prefix-relabeled bounded-norm matrices with the restriction baked in.
 
-    Returns (matrices, free_count, skip_phase_positions, weight_info) where
-    positions are zero-based within the matrix list and a position in
-    ``skip`` contributes no input phase.
+    The oracle coordinates are relabeled so the free ones come first
+    (ascending each).  Returns (matrices, free_count, skip, old_of_new):
+    positions in ``skip`` (zero-based within the matrix list) contribute no
+    input phase, and ``old_of_new[new_flat]`` is the original composite index.
     """
     n = spec.num_inputs
     if rho is None:
         rho = Restriction.all_free(n)
     if len(rho) != n:
         raise ShapeError(f"restriction length {len(rho)} != input length {n}")
-    perm = _oracle_prefix_permutation(n, rho)
-    free_count = int(rho.free_indices.size)
-    vs = [
-        _permute_matrix_oracle(mat, spec.space, perm) for mat in formula_matrices(spec)
-    ]
-    rho_new = np.ones(n)
-    rho_new[perm[rho.fixed_indices]] = rho.pattern[rho.fixed_indices]
+    order = np.concatenate([rho.free_indices, rho.fixed_indices])
     wk = spec.space.work_dim * spec.space.clean_dim
-    damp = np.repeat(rho_new, wk)
+    flats = np.arange(spec.space.total_dim)
+    old_of_new = order[flats // wk] * wk + flats % wk
+    vs = [mat[np.ix_(old_of_new, old_of_new)] for mat in formula_matrices(spec)]
+    damp = np.where(rho.pattern == 0, 1, rho.pattern).astype(float)[old_of_new // wk]
 
     if spec.model is Model.DQCK:
         vs = [damp[:, None] * mat for mat in vs]
@@ -348,7 +317,7 @@ def _restricted_chain(spec: AlgorithmSpec, rho: Optional[Restriction]):
             mat if t in (0, d + 1) else damp[:, None] * mat for t, mat in enumerate(vs)
         ]
         skip = {0, d + 1}
-    return vs, free_count, skip
+    return vs, int(rho.free_indices.size), skip, old_of_new
 
 
 def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
@@ -356,11 +325,11 @@ def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
     over index tuples of the closed-form expressions (independent of the
     transform pipeline).  Bin S collects tuples whose free phase indices have
     symmetric difference S."""
-    vs, free_count, skip = _restricted_chain(spec, rho)
+    vs, free_count, skip, old_of_new = _restricted_chain(spec, rho)
     m = spec.space.total_dim
     d = spec.d
     if spec.model is Model.BQP:
-        summed = 2 * d  # inner indices; both endpoints pinned to basis state 0
+        summed = 2 * d  # inner indices; both endpoints pinned to old basis state 0
         cyclic = False
     elif spec.model is Model.DQCK:
         summed = 2 * d
@@ -373,17 +342,15 @@ def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
         raise ResourceLimitError(
             f"direct summation needs {tuple_count} tuples, guard is {DIRECT_SUM_GUARD}"
         )
-    oracle_of = np.repeat(
-        np.arange(spec.space.oracle_dim), spec.space.work_dim * spec.space.clean_dim
-    )
+    oracle_of = spec.space.oracle_parts()
     bins = np.zeros(1 << free_count, dtype=complex)
     chunk = 1 << 16
     for lo in range(0, tuple_count, chunk):
         ids = np.arange(lo, min(lo + chunk, tuple_count))
         digits = np.array(np.unravel_index(ids, (m,) * summed))
         if spec.model is Model.BQP:
-            zeros = np.zeros(ids.size, dtype=np.int64)
-            path = np.vstack([zeros, digits, zeros])  # I_1, inner, I_{2d+2}
+            pins = np.full(ids.size, np.flatnonzero(old_of_new == 0)[0])
+            path = np.vstack([pins, digits, pins])  # I_1, inner, I_{2d+2}
         else:
             path = digits
         weights = np.ones(ids.size, dtype=complex)
@@ -392,7 +359,7 @@ def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
             col = path[(t + 1) % count] if cyclic else path[t + 1]
             weights *= vs[t][path[t], col]
         if spec.model is Model.HALF_BQP:
-            weights *= spec.accept[path[0], path[d + 1]].astype(float)
+            weights *= spec.accept[old_of_new[path[0]], old_of_new[path[d + 1]]]
         masks = np.zeros(ids.size, dtype=np.int64)
         for t in range(count):
             if t in skip:

@@ -72,24 +72,9 @@ class IndexSpace:
         """N * W, the number of noisy basis states (mixed-start models)."""
         return self.oracle_dim * self.work_dim
 
-    def flat(self, i: int, w: int = 0, c: int = 0) -> int:
-        return (i * self.work_dim + w) * self.clean_dim + c
-
-    def oracle_part(self, flat: int) -> int:
-        return flat // (self.work_dim * self.clean_dim)
-
     def oracle_parts(self) -> np.ndarray:
         """Oracle coordinate of every composite index, as a length-M array."""
         return np.repeat(np.arange(self.oracle_dim), self.work_dim * self.clean_dim)
-
-
-def _popcount(v: np.ndarray) -> np.ndarray:
-    v = v.astype(np.uint64)
-    out = np.zeros_like(v)
-    while np.any(v):
-        out += v & 1
-        v >>= np.uint64(1)
-    return out
 
 
 def f2_inner(i: int, j: int) -> int:
@@ -106,21 +91,16 @@ def hadamard_matrix(n: int) -> np.ndarray:
     Entry (i, j) is ``(-1)^<i,j>_2 / sqrt(N)``; equals the n-fold tensor power
     of ``[[1, 1], [1, -1]] / sqrt(2)``.
     """
-    if not 1 <= n <= MAX_QUBITS:
-        raise DimensionError(f"hadamard_matrix: n must be in [1, {MAX_QUBITS}], got {n}")
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint64)
-    parity = _popcount(idx[:, None] & idx[None, :]) & 1
-    return np.where(parity == 0, 1.0, -1.0) / np.sqrt(size)
+    return sign_hadamard(n) / np.sqrt(1 << n)
 
 
 def sign_hadamard(n: int) -> np.ndarray:
     """The +/-1 sign pattern of the Hadamard matrix: entry (i,j) = (-1)^<i,j>_2."""
     if not 1 <= n <= MAX_QUBITS:
-        raise DimensionError(f"sign_hadamard: n must be in [1, {MAX_QUBITS}], got {n}")
+        raise DimensionError(f"Hadamard order n must be in [1, {MAX_QUBITS}], got {n}")
     size = 1 << n
     idx = np.arange(size, dtype=np.uint64)
-    parity = _popcount(idx[:, None] & idx[None, :]) & 1
+    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
     return np.where(parity == 0, 1, -1).astype(np.int64)
 
 

@@ -8,10 +8,14 @@ Three models are supported:
 * ``HALF_BQP`` -- fully mixed start; the initial basis state is revealed after
   the final measurement and acceptance is a predicate on (start, outcome).
 
-Every algorithm is evaluated two ways: ``acceptance_direct`` simulates the
-circuit (the independent oracle), ``acceptance_formula`` evaluates the
-closed-form matrix-product expression for the same quantity.  The two must
-agree to 1e-9, which the test suite certifies.
+All three models share one simulation kernel: gates and phase oracles are
+applied to a slab of states grown from the model's start basis states (BQP:
+{0}; DQCK: the clean-zero starts; HALF_BQP: every basis state), then an
+accept predicate is summed.  Truth tables batch it over inputs and
+``acceptance_direct`` is a batch of one.  ``acceptance_formula`` evaluates
+the closed-form matrix-product expression for the same quantity and shares
+no code with the kernel; the two must agree to 1e-9, which the test suite
+certifies.
 
 The oracle is a pure phase on every oracle-register position.  A controlled
 oracle is expressed by doubling the oracle register and fixing half of the
@@ -95,6 +99,15 @@ class Restriction:
     def fixed_indices(self) -> np.ndarray:
         return np.flatnonzero(self.pattern != 0)
 
+    def embed_masks(self) -> np.ndarray:
+        """Full-coordinate bitmask of every free-coordinate mask, ascending:
+        bit j of a free mask moves to the j-th free coordinate."""
+        masks = np.arange(1 << self.free_indices.size, dtype=np.int64)
+        targets = np.zeros(masks.size, dtype=np.int64)
+        for j, coord in enumerate(self.free_indices.tolist()):
+            targets |= ((masks >> j) & 1) << coord
+        return targets
+
 
 def restrict(x: np.ndarray, rho: Restriction) -> np.ndarray:
     """Apply a restriction: coordinate i becomes rho_i when fixed, x_i when free."""
@@ -153,7 +166,7 @@ class AlgorithmSpec:
         m = self.space.total_dim
         k = self.space.clean_dim
         if self.model is Model.DQCK:
-            return np.flatnonzero(np.arange(m) % k == 0)
+            return np.arange(0, m, k)
         if self.model is Model.HALF_BQP:
             return np.arange(m)
         return np.array([0])
@@ -165,36 +178,10 @@ def _real(value: complex, what: str, tol: float = _IMAG_TOL) -> float:
     return float(value.real)
 
 
-def _circuit_matrix(spec: AlgorithmSpec, phases: np.ndarray) -> np.ndarray:
-    """Full circuit operator U_{d+1} O U_d ... O U_1."""
-    mat = spec.unitaries[0].copy()
-    for gate in spec.unitaries[1:]:
-        mat = gate @ (phases[:, None] * mat)
-    return mat
-
-
 def acceptance_direct(spec: AlgorithmSpec, x: np.ndarray) -> float:
-    """Acceptance probability by direct state-vector simulation."""
-    phases = phase_vector(x, spec.space)
-    m = spec.space.total_dim
-    if spec.model is Model.BQP:
-        psi = np.zeros(m, dtype=complex)
-        psi[0] = 1.0
-        for gate in spec.unitaries[:-1]:
-            psi = phases * (gate @ psi)
-        psi = spec.unitaries[-1] @ psi
-        return float(np.sum(np.abs(psi[spec.accept]) ** 2))
-    if spec.model is Model.DQCK:
-        starts = spec.start_indices()
-        slab = np.zeros((m, starts.size), dtype=complex)
-        slab[starts, np.arange(starts.size)] = 1.0
-        for gate in spec.unitaries[:-1]:
-            slab = phases[:, None] * (gate @ slab)
-        slab = spec.unitaries[-1] @ slab
-        return float(np.sum(np.abs(slab[spec.accept, :]) ** 2) / starts.size)
-    circuit = _circuit_matrix(spec, phases)
-    weights = np.abs(circuit) ** 2
-    return float(np.einsum("ij,ji->", spec.accept.astype(float), weights) / m)
+    """Acceptance probability by state-vector simulation: a batch of one
+    through the truth-table kernel."""
+    return float(_table_chunk(spec, phase_vector(x, spec.space)[None, :])[0])
 
 
 def formula_matrices(spec: AlgorithmSpec) -> list:
@@ -275,34 +262,29 @@ def _input_block(masks: np.ndarray, rho: Restriction) -> np.ndarray:
     return block
 
 
-def _table_chunk(spec: AlgorithmSpec, xs: np.ndarray) -> np.ndarray:
-    """Acceptance probabilities for a (B, N) block of inputs, batched over B."""
-    wk = spec.space.work_dim * spec.space.clean_dim
-    phases = np.repeat(xs, wk, axis=1)
+def _table_chunk(spec: AlgorithmSpec, phases: np.ndarray) -> np.ndarray:
+    """Acceptance probabilities for a (B, M) block of oracle phase vectors.
+
+    Every model runs one gate loop over a (B, S, M) slab, one state per
+    (input, start) pair with S the model's start basis states; only the
+    accept reduction differs: an outcome mask for BQP/DQCK, a (start,
+    outcome) mask for HALF_BQP.
+    """
+    starts = spec.start_indices()
     m = spec.space.total_dim
-    batch = xs.shape[0]
-    if spec.model is Model.BQP:
-        psi = np.zeros((batch, m), dtype=complex)
-        psi[:, 0] = 1.0
-        for gate in spec.unitaries[:-1]:
-            psi = phases * (psi @ gate.T)
-        psi = psi @ spec.unitaries[-1].T
-        return np.sum(np.abs(psi[:, spec.accept]) ** 2, axis=1)
-    if spec.model is Model.DQCK:
-        starts = spec.start_indices()
-        init = np.zeros((m, starts.size), dtype=complex)
-        init[starts, np.arange(starts.size)] = 1.0
-        slab = np.broadcast_to(init, (batch, m, starts.size)).copy()
-        for gate in spec.unitaries[:-1]:
-            slab = phases[:, :, None] * np.matmul(gate, slab)
-        slab = np.matmul(spec.unitaries[-1], slab)
-        return np.sum(np.abs(slab[:, spec.accept, :]) ** 2, axis=(1, 2)) / starts.size
-    init = np.eye(m, dtype=complex)
-    slab = np.broadcast_to(init, (batch, m, m)).copy()
-    for gate in spec.unitaries[:-1]:
-        slab = phases[:, :, None] * np.matmul(gate, slab)
-    slab = np.matmul(spec.unitaries[-1], slab)
-    return np.einsum("ij,bji->b", spec.accept.astype(float), np.abs(slab) ** 2) / m
+    phases = phases[:, None, :]
+    # the first gate maps start basis state s to its column s
+    slab = phases * spec.unitaries[0].T[starts]
+    # gates act on the slab flattened to (B * S, M): one GEMM, where a stacked
+    # (B, S, M) matmul would make B small ones
+    for gate in spec.unitaries[1:-1]:
+        slab = phases * (slab.reshape(-1, m) @ gate.T).reshape(slab.shape)
+    probs = (np.abs(slab.reshape(-1, m) @ spec.unitaries[-1].T) ** 2).reshape(slab.shape)
+    if spec.model is Model.HALF_BQP:
+        accepted = probs.reshape(len(probs), -1) @ spec.accept[starts].reshape(-1)
+    else:
+        accepted = probs[:, :, spec.accept].sum(axis=(1, 2))
+    return accepted / starts.size
 
 
 def truth_table(
@@ -330,13 +312,14 @@ def truth_table(
             f"truth table over {free.size} free coordinates exceeds the 2^{MAX_QUBITS} cap"
         )
     size = 1 << free.size
+    wk = spec.space.work_dim * spec.space.clean_dim
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
 
     def run(bounds):
         lo, hi = bounds
         masks = np.arange(lo, hi, dtype=np.int64)
-        out[lo:hi] = _table_chunk(spec, _input_block(masks, rho))
+        out[lo:hi] = _table_chunk(spec, np.repeat(_input_block(masks, rho), wk, axis=1))
 
     if workers > 1 and len(chunks) > 1:
         from concurrent.futures import ThreadPoolExecutor
@@ -491,22 +474,25 @@ def acceptance_hybrid(hybrid: HybridSpec, x: np.ndarray) -> float:
 
 
 def hybrid_truth_table(hybrid: HybridSpec, workers: int = 1) -> np.ndarray:
-    """Full acceptance table of the hybrid over all 2^N inputs."""
+    """Full acceptance table of the hybrid over all 2^N inputs.
+
+    Each root-to-leaf path becomes a restriction; the leaf algorithm runs only
+    on the inputs that path selects, so every input is simulated once.
+    """
     n = hybrid.space.oracle_dim
     if n > MAX_QUBITS:
         raise ResourceLimitError(f"truth table over {n} coordinates exceeds cap")
-    masks = np.arange(1 << n, dtype=np.int64)
-    out = np.zeros(1 << n, dtype=float)
-    tables = {
-        key: truth_table(leaf_spec, workers=workers)
-        for key, leaf_spec in hybrid.leaf_algorithms.items()
-    }
+    out = np.empty(1 << n, dtype=float)
     for key, path in hybrid.leaf_paths():
-        select = np.ones(masks.size, dtype=bool)
+        pattern = np.zeros(n, dtype=np.int8)
+        minus = 0
         for coord, sign in path:
-            bit = (masks >> coord) & 1
-            select &= bit == (0 if sign > 0 else 1)
-        out[select] = tables[key][masks[select]]
+            pattern[coord] = sign
+            minus |= (sign < 0) << coord
+        rho = Restriction(pattern)
+        out[rho.embed_masks() | minus] = truth_table(
+            hybrid.leaf_algorithms[key], rho, workers=workers
+        )
     return out
 
 

@@ -149,12 +149,12 @@ def test_index_space_codec():
     space = IndexSpace.qubits(2, 1, 1)
     assert (space.oracle_dim, space.work_dim, space.clean_dim) == (4, 2, 2)
     assert space.total_dim == 16
-    flat = space.flat(3, 1, 0)
-    assert flat == (3 * 2 + 1) * 2
-    assert space.oracle_part(flat) == 3
     parts = space.oracle_parts()
     assert parts.shape == (16,)
-    assert parts[space.flat(2, 0, 1)] == 2
+    for i in range(4):
+        for w in range(2):
+            for c in range(2):
+                assert parts[(i * 2 + w) * 2 + c] == i
 
 
 def test_index_space_validation():

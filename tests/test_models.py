@@ -186,6 +186,23 @@ def test_random_hybrid_matches_leaf_walks():
         assert table[mask] == pytest.approx(acceptance_hybrid(hybrid, x), abs=1e-12)
 
 
+def test_hybrid_table_runs_the_selected_leaf_on_each_input():
+    # depth-2 tree over non-adjacent coordinates, both signs on every level
+    rng = np.random.default_rng(12)
+    space = IndexSpace.qubits(3, 0, 1)
+    tree = Query(
+        6,
+        Query(1, Leaf("pp"), Leaf("pm")),
+        Query(3, Leaf("mp"), Leaf("mm")),
+    )
+    leaves = {key: random_spec(Model.DQCK, space, 2, rng) for key in ("pp", "pm", "mp", "mm")}
+    table = hybrid_truth_table(HybridSpec(tree, leaves))
+    for mask in range(1 << 8):
+        x = np.where((mask >> np.arange(8)) & 1, -1.0, 1.0)
+        key = ("p" if x[6] > 0 else "m") + ("p" if x[1 if x[6] > 0 else 3] > 0 else "m")
+        assert table[mask] == pytest.approx(acceptance_formula(leaves[key], x), abs=1e-12)
+
+
 def test_hybrid_path_validation():
     space = IndexSpace.qubits(1, 0, 1)
     leaf_spec = _identity_spec(Model.DQCK, space, accept=np.ones(4, dtype=bool))
@@ -229,7 +246,7 @@ def test_truth_table_restriction_enumerates_free_coords_only():
     table = truth_table(spec, rho)
     assert table.shape == (4,)
     x = np.array([1.0, 1.0, -1.0, -1.0])   # free coords 1, 3 set to (+1, -1)
-    assert table[0b10] == pytest.approx(acceptance_direct(spec, x), abs=1e-12)
+    assert table[0b10] == pytest.approx(acceptance_formula(spec, x), abs=1e-12)
 
 
 def test_spec_validation_errors():
