@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds, fourier, forrelation
 from .decomposition import random_decomposition_spec, verify
-from .errors import ResourceLimitError
+from .errors import ParameterError, ResourceLimitError
 from .linalg import IndexSpace, leq_tol
 from .models import (
     Model,
@@ -80,6 +80,8 @@ def _restriction_for(option, n, rng):
         return Restriction.all_free(n)
     if option.startswith("random:"):
         fixed_prob = float(option.split(":", 1)[1])
+        if not 0.0 <= fixed_prob <= 1.0:
+            raise ParameterError(f"random:p needs 0 <= p <= 1, got {fixed_prob}")
         return random_restriction(n, rng, star_prob=1.0 - fixed_prob)
     return Restriction.from_string(option)
 

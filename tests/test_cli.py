@@ -42,6 +42,24 @@ def test_verify_decomposition_command(tmp_path):
     assert len(doc["reports"]) == 3
 
 
+def test_verify_decomposition_output_is_reproducible(tmp_path):
+    # seed 13 draws a 3200-dimensional spec; its factor norms must not vary
+    outs = [tmp_path / "a.json", tmp_path / "b.json"]
+    for out in outs:
+        assert main(["verify-decomposition", "--trials", "1", "--seed", "13",
+                     "--out", str(out)]) == 0
+    assert json.loads(outs[0].read_text())["reports"][0]["augmented_dim"] == 3200
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("prob", ["1.7", "-0.1", "nan"])
+def test_growth_rejects_out_of_range_random_restriction(prob, tmp_path):
+    argv = ["growth", "--model", "bqp", "--n", "2", "--d", "1", "--trials", "1",
+            "--restriction", f"random:{prob}", "--out", str(tmp_path / "g.csv")]
+    assert main(argv) == 2
+    assert not (tmp_path / "g.csv").exists()
+
+
 def test_forrelation_command(tmp_path):
     out = tmp_path / "forr.csv"
     assert main(["forrelation", "--k", "2", "--n", "3", "--trials", "10",

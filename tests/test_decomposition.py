@@ -19,7 +19,13 @@ from qgrowth.errors import (
     SpecificationError,
     ValidationError,
 )
-from qgrowth.linalg import IndexSpace, frobenius_norm, leq_tol, random_unitary
+from qgrowth.linalg import (
+    IndexSpace,
+    frobenius_norm,
+    leq_tol,
+    operator_norm,
+    random_unitary,
+)
 from qgrowth.models import AlgorithmSpec, Model, Restriction, random_spec
 from qgrowth.fourier import spectrum_of_algorithm
 
@@ -131,6 +137,52 @@ def test_factor_norms_and_frobenius_bounds():
         assert leq_tol(norm, 1.0)
     min_frob = min(frobenius_norm(u) for u in spec.matrices)
     assert leq_tol(frobenius_norm(built.empty_start_block()), min_frob)
+
+
+def _built(spec):
+    return decompose_improved(spec) if (spec.p or spec.q) else decompose(spec)
+
+
+def test_block_factor_norms_match_dense_svd():
+    rng = np.random.default_rng(31)
+    specs = [random_decomposition_spec(rng, max_aug_dim=512) for _ in range(30)]
+    mats = _unitaries(4, 3, 32)
+    specs.append(DecompositionSpec(
+        IndexSpace(2, 2, 1), (mats[0], np.zeros((4, 4)), mats[2]), tracked=2))
+    masked = np.array([1.0, 0.0, 1.0, 0.0])[:, None] * mats[1]
+    specs.append(DecompositionSpec(
+        IndexSpace(4, 1, 1), (mats[0], masked, mats[2]), tracked=2, memory_positions=(3,)))
+    for spec in specs:
+        built = _built(spec)
+        dense = [operator_norm(f.toarray()) for f in built.factors]
+        assert np.max(np.abs(np.subtract(built.factor_operator_norms(), dense))) <= 1e-12
+    zero_factor = _built(specs[-2]).factors[1]
+    assert zero_factor.nnz == 0
+    assert _built(specs[-2]).factor_operator_norms()[1] == 0.0
+
+
+def test_block_factor_norms_are_deterministic():
+    spec = random_decomposition_spec(np.random.default_rng(13))
+    built = _built(spec)
+    assert (built.indexer.dim, spec.depth) == (3200, 4)
+    assert built.factor_operator_norms() == built.factor_operator_norms()
+
+
+def test_verify_entry_gather_matches_entrywise_loop():
+    # the per-entry reference that verify()'s column gather replaces
+    rng = np.random.default_rng(33)
+    specs = [s for s in (random_decomposition_spec(rng, max_aug_dim=128) for _ in range(40))
+             if s.q and s.tracked][:3]
+    assert len(specs) == 3
+    for spec in specs:
+        built, bins = _built(spec), brute_force_tensor(spec)
+        m, span_s, n = spec.space.total_dim, 1 << spec.tracked, spec.space.oracle_dim
+        worst = 0.0
+        for i1, s1, ie, se in np.ndindex(m, span_s, m, span_s):
+            for bf, digits in enumerate(np.ndindex((n,) * spec.q)):
+                got = built.entry(i1, s1, ie, se, b_end=tuple(x + 1 for x in digits))
+                worst = max(worst, abs(got - bins[i1, ie, s1 ^ se, bf]))
+        assert verify(spec)["max_entry_deviation"] == worst
 
 
 def test_brute_force_entry_closed_form_depth_two():
