@@ -363,6 +363,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return _USAGE_EXIT
+    except Exception as exc:  # exit 1 is reserved for violated bounds
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return _USAGE_EXIT
 
 
 if __name__ == "__main__":

@@ -13,13 +13,14 @@ row block, for the improved form) has Frobenius norm at most the smallest
 input Frobenius norm.  :func:`verify` certifies all of this numerically
 against :func:`brute_force_entry`, an independent raw summation.
 
-Augmented index codec: ``flat = ((I * 2^tracked + S) * (N+1)^p + digits(A)) *
-(N+1)^q + digits(B)`` with big-endian base-(N+1) register digits and digit 0
-meaning "empty slot"; digit v in [1, N] stores oracle value v-1.
+The augmented index is flattened by :class:`AugmentedIndexer` alone.  Register
+digits are base N+1: digit 0 means "empty slot" and digit v in [1, N] stores
+oracle value v-1.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from typing import Optional
@@ -36,6 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    IMAG_TOL,
     NORM_SLACK,
     IndexSpace,
     frobenius_norm,
@@ -141,7 +143,12 @@ def parity_update(s_mask: int, oracle_index: int, position: int, spec: Decomposi
 
 @dataclass(frozen=True)
 class AugmentedIndexer:
-    """Flat codec for the augmented index (I, S, A, B)."""
+    """Flat codec for the augmented index (I, S, A, B).
+
+    ``flat = ((I * 2^tracked + S) * base^p + digits(A)) * base^q + digits(B)``
+    with big-endian register digits in [0, base).  Both methods take scalars
+    or broadcasting arrays; an out-of-range coordinate raises ``ValueError``.
+    """
 
     m: int
     tracked: int
@@ -150,119 +157,61 @@ class AugmentedIndexer:
     base: int  # N + 1: register digits in {0..N}
 
     @property
-    def dim(self) -> int:
-        return self.m * (1 << self.tracked) * self.base ** (self.p + self.q)
+    def shape(self) -> tuple:
+        return (self.m, 1 << self.tracked) + (self.base,) * (self.p + self.q)
 
-    def encode(self, index: int, s_mask: int, a_digits=None, b_digits=None) -> int:
+    @property
+    def dim(self) -> int:
+        return math.prod(self.shape)
+
+    def encode(self, index, s_mask, a_digits=None, b_digits=None):
         a_digits = (0,) * self.p if a_digits is None else tuple(a_digits)
         b_digits = (0,) * self.q if b_digits is None else tuple(b_digits)
         if len(a_digits) != self.p or len(b_digits) != self.q:
             raise ShapeError(f"register digits must have lengths ({self.p}, {self.q})")
-        flat = index * (1 << self.tracked) + s_mask
-        for digit in a_digits:
-            flat = flat * self.base + digit
-        for digit in b_digits:
-            flat = flat * self.base + digit
-        return flat
+        return np.ravel_multi_index((index, s_mask, *a_digits, *b_digits), self.shape)
 
-    def decode(self, flat: int):
-        b_digits = []
-        for _ in range(self.q):
-            b_digits.append(flat % self.base)
-            flat //= self.base
-        a_digits = []
-        for _ in range(self.p):
-            a_digits.append(flat % self.base)
-            flat //= self.base
-        s_mask = flat % (1 << self.tracked)
-        return flat >> self.tracked, s_mask, tuple(reversed(a_digits)), tuple(reversed(b_digits))
-
-
-def _decode_registers(flats: np.ndarray, indexer: AugmentedIndexer):
-    base = indexer.base
-    rest = flats.copy()
-    b_cols = np.empty((flats.size, indexer.q), dtype=np.int64)
-    for j in range(indexer.q - 1, -1, -1):
-        b_cols[:, j] = rest % base
-        rest //= base
-    a_cols = np.empty((flats.size, indexer.p), dtype=np.int64)
-    for j in range(indexer.p - 1, -1, -1):
-        a_cols[:, j] = rest % base
-        rest //= base
-    s_mask = rest % (1 << indexer.tracked)
-    return rest >> indexer.tracked, s_mask, a_cols, b_cols
+    def decode(self, flat):
+        index, s_mask, *digits = np.unravel_index(flat, self.shape)
+        return index, s_mask, tuple(digits[: self.p]), tuple(digits[self.p :])
 
 
 def _build_factor(spec: DecompositionSpec, position: int, indexer: AugmentedIndexer) -> sp.csr_matrix:
-    """One augmented factor as a sparse matrix over the full augmented index."""
+    """One augmented factor as a sparse matrix over the full augmented index.
+
+    The equality slots, then the memory slots, form one register list.  A
+    slot opens at its position (the row digit must be empty and becomes
+    oracle + 1); an equality slot (s, t) also closes at t - 1, where the
+    column's oracle + 1 must equal the stored digit, which is then cleared.
+    """
     mat = spec.matrices[position - 1]
-    m = spec.space.total_dim
-    dim = indexer.dim
     oracle_of = spec.space.oracle_parts()
-
-    rows = np.arange(dim, dtype=np.int64)
-    i_row, s_row, a_row, b_row = _decode_registers(rows, indexer)
+    i_row, s_row, a_row, b_row = indexer.decode(np.arange(indexer.dim))
     o_row = oracle_of[i_row]
+    if position >= 2 and position not in spec.parity_skip:
+        s_row = s_row ^ np.where(o_row < spec.tracked, np.int64(1) << o_row, 0)
 
-    tracked_here = (
-        2 <= position <= spec.depth
-        and position not in spec.parity_skip
+    digits = [digit[:, None] for digit in a_row + b_row]
+    opens = [s for s, _ in spec.equality_pairs] + list(spec.memory_positions)
+    closes = [t - 1 for _, t in spec.equality_pairs] + [None] * spec.q
+    valid = np.ones((indexer.dim, 1), dtype=bool)
+    for j, (opens_at, closes_at) in enumerate(zip(opens, closes)):
+        if position == opens_at:
+            valid = valid & (digits[j] == 0)
+            digits[j] = o_row[:, None] + 1
+        if position == closes_at:
+            valid = valid & (digits[j] == oracle_of + 1)
+            digits[j] = 0
+
+    cols = indexer.encode(
+        np.arange(spec.space.total_dim), s_row[:, None], digits[: spec.p], digits[spec.p :]
     )
-    if tracked_here:
-        toggles = np.where(o_row < spec.tracked, np.int64(1) << o_row, 0)
-        s_col = s_row ^ toggles
-    else:
-        s_col = s_row
-
-    valid_row = np.ones(dim, dtype=bool)
-    a_new = a_row.copy()
-    b_new = b_row.copy()
-    for j, r in enumerate(spec.memory_positions):
-        if position == r:
-            valid_row &= b_row[:, j] == 0
-            b_new[:, j] = o_row + 1
-    for j, (s, _) in enumerate(spec.equality_pairs):
-        if position == s:
-            valid_row &= a_row[:, j] == 0
-            a_new[:, j] = o_row + 1
-
-    i_col = np.arange(m, dtype=np.int64)
-    o_col = oracle_of[i_col]
-    valid = valid_row[:, None] & np.ones(m, dtype=bool)[None, :]
-    a_final = a_new
-    closing = [j for j, (_, t) in enumerate(spec.equality_pairs) if position + 1 == t]
-    if closing:
-        # the next index must match the stored one; the slot is then cleared
-        a_grid = np.broadcast_to(a_new[:, None, :], (dim, m, indexer.p)).copy()
-        for j in closing:
-            valid &= a_new[:, j][:, None] == (o_col + 1)[None, :]
-            a_grid[:, :, j] = 0
-        a_digit_grid = np.zeros((dim, m), dtype=np.int64)
-        for j in range(indexer.p):
-            a_digit_grid = a_digit_grid * indexer.base + a_grid[:, :, j]
-    else:
-        a_digit_row = np.zeros(dim, dtype=np.int64)
-        for j in range(indexer.p):
-            a_digit_row = a_digit_row * indexer.base + a_final[:, j]
-        a_digit_grid = np.broadcast_to(a_digit_row[:, None], (dim, m))
-
-    b_digit_row = np.zeros(dim, dtype=np.int64)
-    for j in range(indexer.q):
-        b_digit_row = b_digit_row * indexer.base + b_new[:, j]
-
-    reg_span = indexer.base ** (indexer.p + indexer.q)
-    col_flat = (
-        (i_col[None, :] * (1 << indexer.tracked) + s_col[:, None]) * reg_span
-        + a_digit_grid * indexer.base**indexer.q
-        + b_digit_row[:, None]
-    )
-    values = mat[i_row[:, None], i_col[None, :]]
+    values = mat[i_row]
     keep = valid & (values != 0)
-    coo = sp.coo_matrix(
-        (values[keep], (np.broadcast_to(rows[:, None], keep.shape)[keep], col_flat[keep])),
-        shape=(dim, dim),
-    )
-    return coo.tocsr()
+    # I is the leading column coordinate and the rest is set by the row, so
+    # each row's columns come out sorted and distinct: CSR without a COO pass
+    indptr = np.concatenate(([0], np.cumsum(keep.sum(axis=1))))
+    return sp.csr_matrix((values[keep], cols[keep], indptr), shape=(indexer.dim,) * 2)
 
 
 @dataclass(frozen=True)
@@ -280,20 +229,15 @@ class AugmentedMatrix:
         col = self.indexer.encode(i_end, s_end, a_end, b_end)
         return complex(self.product[row, col])
 
-    def start_rows(self, s_start: int = 0) -> np.ndarray:
-        """Flat row indices (I, s_start) with empty registers, for all I."""
-        ix = self.indexer
-        heads = np.arange(ix.m, dtype=np.int64) * (1 << ix.tracked) + s_start
-        return heads * ix.base ** (ix.p + ix.q)
-
     def empty_start_block(self) -> np.ndarray:
         """Dense product rows with S = empty and empty registers."""
-        return np.asarray(self.product[self.start_rows(0), :].todense())
+        rows = self.indexer.encode(np.arange(self.indexer.m), 0)
+        return np.asarray(self.product[rows, :].todense())
 
     def free_start_block(self) -> np.ndarray:
         """Dense product rows over all (I, S) with empty registers."""
         ix = self.indexer
-        rows = np.arange(ix.m << ix.tracked, dtype=np.int64) * ix.base ** (ix.p + ix.q)
+        rows = ix.encode(np.arange(ix.m)[:, None], np.arange(1 << ix.tracked)).ravel()
         return np.asarray(self.product[rows, :].todense())
 
     def factor_operator_norms(self) -> list:
@@ -484,21 +428,18 @@ def verify(spec: DecompositionSpec, tol: float = 1e-9) -> dict:
     Returns a report with the maximum entrywise deviation, the factor
     operator norms, the Frobenius comparison, and pass flags per guarantee.
     """
-    improved = bool(spec.p or spec.q)
-    built = decompose_improved(spec) if improved else decompose(spec)
+    built = decompose_improved(spec)
     bins = brute_force_tensor(spec)
     m = spec.space.total_dim
     n = spec.space.oracle_dim
     span_s = 1 << spec.tracked
     span_b = n**spec.q
 
-    # columns (I_end, S_end) with empty A and B digit-coded as value + 1
-    base = built.indexer.base
-    b_code = np.zeros(span_b, dtype=np.int64)
-    for j in range(spec.q - 1, -1, -1):
-        b_code = b_code * base + (np.arange(span_b) // n**j) % n + 1
-    ends = np.arange(m * span_s, dtype=np.int64).reshape(m, span_s, 1)
-    cols = ends * base ** (spec.p + spec.q) + b_code
+    # columns (I_end, S_end) with empty A and B holding value + 1
+    b_values = np.unravel_index(np.arange(span_b), (n,) * spec.q) if spec.q else ()
+    cols = built.indexer.encode(
+        np.arange(m)[:, None, None], np.arange(span_s)[:, None], b_digits=[v + 1 for v in b_values]
+    )
     got = built.free_start_block()[:, cols].reshape(m, span_s, m, span_s, span_b)
     # path parity s satisfies s_end = s1 ^ s
     xor = np.arange(span_s)[:, None] ^ np.arange(span_s)[None, :]
@@ -566,8 +507,7 @@ def random_decomposition_spec(
             tuple(sorted((int(chosen[2 * j]), int(chosen[2 * j + 1])))) for j in range(p)
         )
         mems = tuple(int(x) for x in chosen[2 * p :])
-        base = n_dim + 1
-        if m * (1 << tracked) * base ** (p + q) > max_aug_dim:
+        if AugmentedIndexer(m, tracked, p, q, n_dim + 1).dim > max_aug_dim:
             continue
         mats = []
         for _ in range(d):
@@ -617,11 +557,11 @@ def spectrum_via_decomposition(
     m = spec.space.total_dim
     oracle_of = spec.space.oracle_parts()
     dense = built.empty_start_block()  # rows I_1, columns (I, S)
-    span_s = 1 << free_count
     toggles = np.where(oracle_of < free_count, np.int64(1) << oracle_of, 0)
-    cols = np.arange(m)[:, None] * span_s + (np.arange(span_s)[None, :] ^ toggles[:, None])
+    s_ends = np.arange(1 << free_count) ^ toggles[:, None]
+    cols = built.indexer.encode(np.arange(m)[:, None], s_ends)
     coeffs = dense[np.arange(m)[:, None], cols].sum(axis=0)
     coeffs /= spec.space.start_dim
-    if np.max(np.abs(coeffs.imag)) > 1e-8:
+    if np.max(np.abs(coeffs.imag)) > IMAG_TOL:
         raise ValidationError("decomposition read-off produced non-real coefficients")
     return _fourier.FourierSpectrum(free_count, coeffs.real)

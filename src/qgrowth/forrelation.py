@@ -118,11 +118,6 @@ class TraceCircuit:
     def block_size(self) -> int:
         return 1 << self.n
 
-    def block_coords(self, t: int) -> np.ndarray:
-        """Input coordinates of block t (0-based) among the live coordinates."""
-        size = self.block_size
-        return self.bundle.live_coords[t * size : (t + 1) * size]
-
     def acceptance(self, blocks: np.ndarray) -> float:
         """Acceptance at the given (num_blocks, block_size) +/-1 inputs."""
         blocks = np.asarray(blocks, dtype=float)

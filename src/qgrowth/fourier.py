@@ -24,7 +24,7 @@ from .errors import (
     SpecificationError,
     ValidationError,
 )
-from .linalg import MAX_QUBITS, f2_inner, sign_hadamard
+from .linalg import IMAG_TOL, MAX_QUBITS, f2_inner, sign_hadamard
 from .models import AlgorithmSpec, Model, Restriction, formula_matrices, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
@@ -372,7 +372,7 @@ def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
         bins /= spec.space.start_dim
     elif spec.model is Model.HALF_BQP:
         bins /= m
-    if np.max(np.abs(bins.imag)) > 1e-8:
+    if np.max(np.abs(bins.imag)) > IMAG_TOL:
         raise ValidationError("direct coefficient sums came out non-real")
     return bins.real
 

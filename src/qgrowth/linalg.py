@@ -25,6 +25,9 @@ MAX_QUBITS = 20
 #: Default slack for unitarity / operator-norm preconditions.
 NORM_SLACK = 1e-9
 
+#: Largest imaginary part tolerated where a computed value must be real.
+IMAG_TOL = 1e-8
+
 
 def leq_tol(lhs: float, rhs: float, rel: float = 1e-9, abs_: float = 1e-9) -> bool:
     """Tolerant form of the exact inequality ``lhs <= rhs``."""

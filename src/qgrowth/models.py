@@ -39,6 +39,7 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    IMAG_TOL,
     MAX_QUBITS,
     IndexSpace,
     hadamard_matrix,
@@ -46,8 +47,6 @@ from .linalg import (
     phase_vector,
     random_unitary,
 )
-
-_IMAG_TOL = 1e-8
 
 
 class Model(Enum):
@@ -172,7 +171,7 @@ class AlgorithmSpec:
         return np.array([0])
 
 
-def _real(value: complex, what: str, tol: float = _IMAG_TOL) -> float:
+def _real(value: complex, what: str, tol: float = IMAG_TOL) -> float:
     if abs(value.imag) > tol:
         raise ValidationError(f"{what} has non-negligible imaginary part {value.imag:g}")
     return float(value.real)
@@ -635,6 +634,8 @@ def _gate_from_json(doc: dict, m: int) -> np.ndarray:
         bits = _log2_exact(m, "register dimension for a hadamard gate")
         return hadamard_matrix(bits).astype(complex)
     if kind == "haar":
+        if "seed" not in doc:
+            raise SpecificationError("haar gate needs a 'seed'")
         return random_unitary(m, int(doc["seed"]))
     if kind == "explicit":
         rows = doc["rows"]
@@ -648,8 +649,13 @@ def _gate_from_json(doc: dict, m: int) -> np.ndarray:
 def spec_from_json(doc: dict):
     """Parse an algorithm-spec document; returns (AlgorithmSpec, Restriction or None).
 
-    Accepting sets use zero-based outcome indices.
+    Accepting sets use zero-based outcome indices in [0, M).
     """
+    if not isinstance(doc, dict):
+        raise SpecificationError("spec document must be a JSON object")
+    missing = [key for key in ("model", "n", "d", "unitaries", "accept") if key not in doc]
+    if missing:
+        raise SpecificationError(f"spec document lacks required keys: {', '.join(missing)}")
     model = Model(doc["model"].upper().replace("-", "_"))
     space = IndexSpace.qubits(int(doc["n"]), int(doc.get("w", 0)), int(doc.get("k", 0)))
     d = int(doc["d"])
@@ -658,8 +664,11 @@ def spec_from_json(doc: dict):
     if model is Model.HALF_BQP:
         accept = np.asarray(doc["accept"], dtype=float) > 0.5
     else:
+        outcomes = list(doc["accept"])
+        if not all(type(v) is int and 0 <= v < m for v in outcomes):  # JSON true is no index
+            raise ParameterError(f"accept entries must be integers in [0, {m})")
         accept = np.zeros(m, dtype=bool)
-        accept[np.asarray(doc["accept"], dtype=int)] = True
+        accept[outcomes] = True
     spec = AlgorithmSpec(model, space, d, gates, accept)
     rho = None
     if doc.get("restriction"):

@@ -100,6 +100,30 @@ def test_spectrum_command(tmp_path):
     assert values[3] == pytest.approx(0.5)
 
 
+def _spec_doc(**changes):
+    doc = {"model": "BQP", "n": 1, "d": 1, "accept": [0],
+           "unitaries": [{"kind": "hadamard"}, {"kind": "hadamard"}]}
+    doc.update(changes)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    {key: val for key, val in _spec_doc().items() if key != "model"},
+    _spec_doc(accept=[5]),
+    _spec_doc(accept=[-1]),
+    _spec_doc(accept=[True]),
+    _spec_doc(unitaries=[{"kind": "haar"}, {"kind": "hadamard"}]),
+    [_spec_doc()],
+], ids=["no-model", "accept-5", "accept-negative", "accept-bool", "haar-no-seed", "list"])
+def test_spectrum_rejects_malformed_spec(doc, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(doc))
+    assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "sp.csv")]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err
+
+
 def test_spectrum_command_requires_spec():
     assert main(["spectrum"]) == 2
 

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrowth.decomposition import (
     AUGMENTED_DIM_GUARD,
+    AugmentedIndexer,
     DecompositionSpec,
     brute_force_entry,
     brute_force_tensor,
@@ -287,6 +290,29 @@ def test_factor_block_structure():
             key = (int(col), i_row)
             assert key not in seen
             seen[key] = True
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_augmented_indexer_codec(data):
+    m, tracked, p, q, base = (data.draw(st.integers(lo, hi)) for lo, hi in
+                              ((1, 8), (0, 3), (0, 2), (0, 2), (2, 5)))
+    ix = AugmentedIndexer(m, tracked, p, q, base)
+    index = data.draw(st.integers(0, m - 1))
+    s_mask = data.draw(st.integers(0, (1 << tracked) - 1))
+    digits = data.draw(st.lists(st.integers(0, base - 1), min_size=p + q, max_size=p + q))
+    a, b = tuple(digits[:p]), tuple(digits[p:])
+    flat = index * (1 << tracked) + s_mask
+    for digit in digits:
+        flat = flat * base + digit
+    assert ix.encode(index, s_mask, a, b) == flat
+    assert ix.decode(flat) == (index, s_mask, a, b)
+    assert ix.dim == m * (1 << tracked) * base ** (p + q)
+    if digits:
+        j = data.draw(st.integers(0, p + q - 1))
+        digits[j] = data.draw(st.integers(base, 3 * base))
+        with pytest.raises(ValueError):
+            ix.encode(index, s_mask, digits[:p], digits[p:])
 
 
 def test_augmented_guard():
