@@ -12,6 +12,7 @@ import csv
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from itertools import combinations, permutations
 from typing import Callable, Optional
 
@@ -154,8 +155,16 @@ def growth(sp: FourierSpectrum, level: int) -> float:
         raise ParameterError(f"level must be nonnegative, got {level}")
     if level > sp.num_vars:
         return 0.0
-    counts = np.bitwise_count(np.arange(1 << sp.num_vars))
-    return float(np.sum(np.abs(sp.coeffs[counts == level])))
+    return float(np.sum(np.abs(sp.coeffs[_subset_sizes(sp.num_vars) == level])))
+
+
+@lru_cache(maxsize=MAX_QUBITS + 1)
+def _subset_sizes(num_vars: int) -> np.ndarray:
+    """Read-only popcount of every mask over ``num_vars`` variables (uint8,
+    1 MB at 2^20), shared by every ``growth`` call at that size."""
+    counts = np.bitwise_count(np.arange(1 << num_vars))
+    counts.setflags(write=False)
+    return counts
 
 
 # ---------------------------------------------------------------------------

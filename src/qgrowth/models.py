@@ -11,7 +11,10 @@ Three models are supported:
 All three models share one simulation kernel: gates and phase oracles are
 applied to a slab of states grown from the model's start basis states (BQP:
 {0}; DQCK: the clean-zero starts; HALF_BQP: every basis state), then an
-accept predicate is summed.  Truth tables batch it over inputs and
+accept predicate is summed.  A plan cached on the spec folds the first query
+into per-coordinate images of gate 1 (one real GEMM of the +/-1 inputs) and
+keeps only the accepted rows of the last gate for BQP/DQCK.  Truth tables run
+it on chunks of ``max(256, 4096 // S)`` inputs, S the number of starts, and
 ``acceptance_direct`` is a batch of one.  ``acceptance_formula`` evaluates
 the closed-form matrix-product expression for the same quantity and shares
 no code with the kernel; the two must agree to 1e-9, which the test suite
@@ -25,8 +28,10 @@ input with a restriction (see :func:`interference_circuit`).
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
@@ -122,7 +127,8 @@ class AlgorithmSpec:
 
     ``unitaries`` holds the d+1 gates applied between the d oracle calls.
     ``accept`` is a boolean mask over final outcomes for BQP/DQCK, and a
-    boolean (start, outcome) matrix for HALF_BQP.
+    boolean (start, outcome) matrix for HALF_BQP.  Both are stored as private
+    read-only copies, so the cached kernel plan cannot go stale.
     """
 
     model: Model
@@ -135,7 +141,7 @@ class AlgorithmSpec:
         if self.d < 1:
             raise ParameterError(f"query count d must be >= 1, got {self.d}")
         m = self.space.total_dim
-        gates = tuple(np.asarray(u, dtype=complex) for u in self.unitaries)
+        gates = tuple(np.array(u, dtype=complex) for u in self.unitaries)
         if len(gates) != self.d + 1:
             raise ValidationError(f"expected {self.d + 1} gates, got {len(gates)}")
         for idx, gate in enumerate(gates):
@@ -148,10 +154,12 @@ class AlgorithmSpec:
                 raise ValidationError("DQCK needs at least one clean qubit (clean_dim >= 2)")
         elif self.space.clean_dim != 1:
             raise ValidationError(f"{self.model.value} uses no clean register (clean_dim == 1)")
-        accept = np.asarray(self.accept, dtype=bool)
+        accept = np.array(self.accept, dtype=bool)
         want = (m, m) if self.model is Model.HALF_BQP else (m,)
         if accept.shape != want:
             raise ShapeError(f"accept mask has shape {accept.shape}, expected {want}")
+        for array in gates + (accept,):
+            array.setflags(write=False)
         object.__setattr__(self, "unitaries", gates)
         object.__setattr__(self, "accept", accept)
 
@@ -170,6 +178,20 @@ class AlgorithmSpec:
             return np.arange(m)
         return np.array([0])
 
+    @cached_property
+    def _kernel_plan(self) -> tuple:
+        """Kernel GEMM operands: gate 1 takes start s to sum_i x_i C[i, s], with
+        C[i, s] = U_1[:, block_i] @ U_0[block_i, s] over coordinate i's W*K
+        positions; ``fold`` is C as a real (N, 2*S*R) matrix.  ``last`` is the
+        transposed last gate, its rows cut to ``accept`` for BQP/DQCK (R =
+        |accept|), which C uses when d = 1."""
+        n, m = self.num_inputs, self.space.total_dim
+        last = self.unitaries[-1][... if self.model is Model.HALF_BQP else self.accept]
+        second = last if self.d == 1 else self.unitaries[1]
+        first = self.unitaries[0][:, self.start_indices()].reshape(n, m // n, -1)
+        fold = (second.reshape(-1, n, m // n).transpose(1, 0, 2) @ first).transpose(0, 2, 1)
+        return np.ascontiguousarray(fold).view(float).reshape(n, -1), np.ascontiguousarray(last.T)
+
 
 def _real(value: complex, what: str, tol: float = IMAG_TOL) -> float:
     if abs(value.imag) > tol:
@@ -178,9 +200,10 @@ def _real(value: complex, what: str, tol: float = IMAG_TOL) -> float:
 
 
 def acceptance_direct(spec: AlgorithmSpec, x: np.ndarray) -> float:
-    """Acceptance probability by state-vector simulation: a batch of one
-    through the truth-table kernel."""
-    return float(_table_chunk(spec, phase_vector(x, spec.space)[None, :])[0])
+    """Acceptance probability by state-vector simulation, a batch of one."""
+    x = np.asarray(x, dtype=float)
+    phase_vector(x, spec.space)  # raises ShapeError on a wrong input length
+    return float(_table_chunk(spec, x[None, :])[0])
 
 
 def formula_matrices(spec: AlgorithmSpec) -> list:
@@ -261,28 +284,30 @@ def _input_block(masks: np.ndarray, rho: Restriction) -> np.ndarray:
     return block
 
 
-def _table_chunk(spec: AlgorithmSpec, phases: np.ndarray) -> np.ndarray:
-    """Acceptance probabilities for a (B, M) block of oracle phase vectors.
+def _table_chunk(spec: AlgorithmSpec, x: np.ndarray) -> np.ndarray:
+    """Acceptance probabilities for a (B, N) block of +/-1 inputs.
 
     Every model runs one gate loop over a (B, S, M) slab, one state per
-    (input, start) pair with S the model's start basis states; only the
-    accept reduction differs: an outcome mask for BQP/DQCK, a (start,
-    outcome) mask for HALF_BQP.
+    (input, start) pair: gate 1 is ``x @ fold``, later gates one GEMM on the
+    slab flattened to (B * S, M) (a stacked matmul would make B small ones).
+    BQP/DQCK sum the accepted outcomes; HALF_BQP applies its (start, outcome) mask.
     """
+    fold, last = spec._kernel_plan
     starts = spec.start_indices()
-    m = spec.space.total_dim
-    phases = phases[:, None, :]
-    # the first gate maps start basis state s to its column s
-    slab = phases * spec.unitaries[0].T[starts]
-    # gates act on the slab flattened to (B * S, M): one GEMM, where a stacked
-    # (B, S, M) matmul would make B small ones
-    for gate in spec.unitaries[1:-1]:
-        slab = phases * (slab.reshape(-1, m) @ gate.T).reshape(slab.shape)
-    probs = (np.abs(slab.reshape(-1, m) @ spec.unitaries[-1].T) ** 2).reshape(slab.shape)
+    b, m = len(x), spec.space.total_dim
+    slab = (x @ fold).view(complex).reshape(b, starts.size, -1)
+    if spec.d > 1:
+        phases = np.repeat(x, m // spec.num_inputs, axis=1)[:, None, :]
+        slab *= phases
+        for gate in spec.unitaries[2:-1]:
+            slab = (slab.reshape(-1, m) @ gate.T).reshape(slab.shape)
+            slab *= phases
+        slab = slab.reshape(-1, m) @ last
+    probs = (np.abs(slab) ** 2).reshape(b, -1)
     if spec.model is Model.HALF_BQP:
-        accepted = probs.reshape(len(probs), -1) @ spec.accept[starts].reshape(-1)
+        accepted = probs @ spec.accept[starts].reshape(-1)
     else:
-        accepted = probs[:, :, spec.accept].sum(axis=(1, 2))
+        accepted = probs.sum(axis=1)
     return accepted / starts.size
 
 
@@ -290,15 +315,15 @@ def truth_table(
     spec: AlgorithmSpec,
     rho: Optional[Restriction] = None,
     workers: int = 1,
-    chunk: int = 256,
+    chunk: Optional[int] = None,
 ) -> np.ndarray:
     """Acceptance probability on every input consistent with ``rho``.
 
     Returns a length 2^F table, F the number of free coordinates; entry at
     mask m has free coordinate j set to -1 iff bit j of m is 1.  The sweep is
-    sharded into fixed-size chunks; with ``workers > 1`` chunks run on a
-    thread pool and are reassembled in index order, so results do not depend
-    on the worker count.
+    sharded into chunks of ``chunk`` inputs (default ``max(256, 4096 // S)``);
+    with ``workers > 1`` they run on at most one thread each and are
+    reassembled in index order, so results do not depend on the worker count.
     """
     n = spec.num_inputs
     if rho is None:
@@ -311,19 +336,16 @@ def truth_table(
             f"truth table over {free.size} free coordinates exceeds the 2^{MAX_QUBITS} cap"
         )
     size = 1 << free.size
-    wk = spec.space.work_dim * spec.space.clean_dim
+    chunk = max(256, 4096 // spec.start_indices().size) if chunk is None else chunk
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
 
     def run(bounds):
         lo, hi = bounds
-        masks = np.arange(lo, hi, dtype=np.int64)
-        out[lo:hi] = _table_chunk(spec, np.repeat(_input_block(masks, rho), wk, axis=1))
+        out[lo:hi] = _table_chunk(spec, _input_block(np.arange(lo, hi, dtype=np.int64), rho))
 
     if workers > 1 and len(chunks) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
             list(pool.map(run, chunks))
     else:
         for bounds in chunks:
@@ -657,8 +679,11 @@ def spec_from_json(doc: dict):
     if missing:
         raise SpecificationError(f"spec document lacks required keys: {', '.join(missing)}")
     model = Model(doc["model"].upper().replace("-", "_"))
-    space = IndexSpace.qubits(int(doc["n"]), int(doc.get("w", 0)), int(doc.get("k", 0)))
-    d = int(doc["d"])
+    for key in ("n", "w", "k", "d"):
+        value, low = doc.get(key, 0), int(key in "nd")
+        if type(value) is not int or value < low:  # JSON 1.7 and true are no sizes
+            raise ParameterError(f"spec {key!r} must be an integer >= {low}, got {value!r}")
+    space = IndexSpace.qubits(doc["n"], doc.get("w", 0), doc.get("k", 0))
     m = space.total_dim
     gates = tuple(_gate_from_json(g, m) for g in doc["unitaries"])
     if model is Model.HALF_BQP:
@@ -669,7 +694,7 @@ def spec_from_json(doc: dict):
             raise ParameterError(f"accept entries must be integers in [0, {m})")
         accept = np.zeros(m, dtype=bool)
         accept[outcomes] = True
-    spec = AlgorithmSpec(model, space, d, gates, accept)
+    spec = AlgorithmSpec(model, space, doc["d"], gates, accept)
     rho = None
     if doc.get("restriction"):
         rho = Restriction.from_string(doc["restriction"])

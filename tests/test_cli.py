@@ -114,7 +114,11 @@ def _spec_doc(**changes):
     _spec_doc(accept=[True]),
     _spec_doc(unitaries=[{"kind": "haar"}, {"kind": "hadamard"}]),
     [_spec_doc()],
-], ids=["no-model", "accept-5", "accept-negative", "accept-bool", "haar-no-seed", "list"])
+    _spec_doc(n=1.7),
+    _spec_doc(d=True),
+    _spec_doc(w=-1),
+], ids=["no-model", "accept-5", "accept-negative", "accept-bool", "haar-no-seed", "list",
+        "n-float", "d-bool", "w-negative"])
 def test_spectrum_rejects_malformed_spec(doc, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -122,6 +126,18 @@ def test_spectrum_rejects_malformed_spec(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_workers_below_one_is_a_usage_error(workers, tmp_path, capsys):
+    out = tmp_path / "g.csv"
+    argv = ["growth", "--model", "bqp", "--n", "2", "--d", "1", "--trials", "1",
+            "--workers", workers, "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "--workers" in err
+    assert not out.exists()
 
 
 def test_spectrum_command_requires_spec():

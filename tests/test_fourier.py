@@ -15,6 +15,7 @@ from qgrowth.errors import (
 from qgrowth.fourier import (
     SignFamily,
     SignKind,
+    _subset_sizes,
     alpha_gamma,
     beta_gamma,
     direct_coefficient,
@@ -112,6 +113,20 @@ def test_growth_examples():
         growth(sp, -1)
 
 
+def test_growth_level_masks_are_cached_and_exact():
+    rng = np.random.default_rng(8)
+    for num_vars in range(7):
+        sp = spectrum_from_table(rng.random(1 << num_vars))
+        counts = np.bitwise_count(np.arange(1 << num_vars))
+        for level in range(num_vars + 1):
+            want = float(np.sum(np.abs(sp.coeffs[counts == level])))
+            assert growth(sp, level) == want
+    masks = _subset_sizes(5)
+    assert masks is _subset_sizes(5)
+    with pytest.raises(ValueError):
+        masks[0] = 1
+
+
 def test_signed_growth_maximizer_and_zero():
     rng = np.random.default_rng(9)
     sp = spectrum_from_table(rng.random(16))
@@ -193,6 +208,23 @@ def test_restriction_closure():
     direct = spectrum_of_algorithm(spec, rho)
     folded = restrict_spectrum(spectrum_of_algorithm(spec), rho)
     assert np.max(np.abs(direct.coeffs - folded.coeffs)) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    d=st.integers(1, 3),
+    pattern=st.lists(st.sampled_from([-1, 0, 1]), min_size=4, max_size=4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_restrict_spectrum_commutes_with_restricted_table(model, d, pattern, seed):
+    space = IndexSpace.qubits(2, 0, 1 if model is Model.DQCK else 0)
+    spec = random_spec(model, space, d, np.random.default_rng(seed))
+    rho = Restriction(np.array(pattern, dtype=np.int8))
+    folded = restrict_spectrum(spectrum_of_algorithm(spec), rho)
+    direct = spectrum_of_algorithm(spec, rho)
+    assert folded.num_vars == direct.num_vars
+    assert np.max(np.abs(folded.coeffs - direct.coeffs)) <= 1e-9
 
 
 def test_embed_spectrum_inverts_fold():

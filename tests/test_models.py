@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qgrowth.errors import (
     ParameterError,
@@ -24,6 +26,7 @@ from qgrowth.models import (
     hybrid_truth_table,
     interference_circuit,
     random_hybrid,
+    random_restriction,
     random_spec,
     reduce_clean_qubits,
     restrict,
@@ -236,6 +239,66 @@ def test_truth_table_worker_determinism():
     one = truth_table(spec, workers=1, chunk=3)
     many = truth_table(spec, workers=4, chunk=3)
     assert np.array_equal(one, many)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    d=st.integers(1, 3),
+    w=st.integers(0, 1),
+    n=st.integers(1, 3),
+    star_prob=st.floats(0, 1),
+    chunk=st.one_of(st.sampled_from([1, 2, 4, 16, 64]), st.integers(1, 300)),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_truth_table_matches_formula_on_every_entry(model, d, w, n, star_prob, chunk, seed):
+    # chunk sizes that divide the table (powers of two) and that do not
+    rng = np.random.default_rng(seed)
+    space = IndexSpace.qubits(n, w, 1 if model is Model.DQCK else 0)
+    spec = random_spec(model, space, d, rng)
+    rho = random_restriction(space.oracle_dim, rng, star_prob=star_prob)
+    table = truth_table(spec, rho, chunk=chunk)
+    free = rho.free_indices
+    assert table.shape == (1 << free.size,)
+    for mask, got in enumerate(table):
+        x = restrict(np.ones(space.oracle_dim), rho)
+        x[free] = np.where((mask >> np.arange(free.size)) & 1, -1.0, 1.0)
+        assert abs(got - acceptance_formula(spec, x)) <= 1e-9
+
+
+def test_spec_arrays_are_private_read_only_copies():
+    rng = np.random.default_rng(21)
+    space = IndexSpace.qubits(2, 0, 1)
+    gates = [random_unitary(space.total_dim, 90 + t) for t in range(3)]
+    accept = rng.random(space.total_dim) < 0.5
+    spec = AlgorithmSpec(Model.DQCK, space, 2, tuple(gates), accept)
+    before = truth_table(spec)
+    with pytest.raises(ValueError):
+        spec.unitaries[1][0, 0] = 0.0
+    with pytest.raises(ValueError):
+        spec.accept[0] = not spec.accept[0]
+    gates[1][:] = np.eye(space.total_dim)
+    accept[:] = ~accept
+    assert np.array_equal(truth_table(spec), before)
+    fresh = AlgorithmSpec(Model.DQCK, space, 2, tuple(gates), accept)
+    assert not np.array_equal(truth_table(fresh), before)
+
+
+def test_truth_table_starts_at_most_one_thread_per_chunk(monkeypatch):
+    import qgrowth.models as models_module
+
+    sizes = []
+    real_pool = models_module.ThreadPoolExecutor
+
+    def recording_pool(max_workers):
+        sizes.append(max_workers)
+        return real_pool(max_workers=max_workers)
+
+    monkeypatch.setattr(models_module, "ThreadPoolExecutor", recording_pool)
+    spec = random_spec(Model.BQP, IndexSpace.qubits(2), 1, np.random.default_rng(3))
+    one = truth_table(spec, workers=1, chunk=3)
+    assert np.array_equal(truth_table(spec, workers=64, chunk=3), one)
+    assert sizes == [6]      # 16 inputs in chunks of 3
 
 
 def test_truth_table_restriction_enumerates_free_coords_only():
