@@ -1,69 +1,1 @@
 """Desk-scale laboratory for the Fourier growth of noisy quantum query algorithms."""
-
-from .linalg import (
-    IndexSpace,
-    f2_inner,
-    frobenius_norm,
-    hadamard_matrix,
-    leq_tol,
-    operator_norm,
-    phase_oracle,
-    random_unitary,
-    sign_hadamard,
-)
-from .models import (
-    AlgorithmSpec,
-    HybridSpec,
-    Model,
-    Restriction,
-    acceptance_direct,
-    acceptance_formula,
-    acceptance_hybrid,
-    bias,
-    interference_circuit,
-    random_hybrid,
-    random_restriction,
-    random_spec,
-    reduce_clean_qubits,
-    restrict,
-    truth_table,
-)
-from .fourier import (
-    FourierSpectrum,
-    SignFamily,
-    SignKind,
-    alpha_gamma,
-    beta_gamma,
-    direct_coefficient,
-    direct_restricted_spectrum,
-    growth,
-    restrict_spectrum,
-    signed_growth,
-    spectrum,
-    spectrum_from_table,
-    spectrum_of_algorithm,
-)
-from .decomposition import (
-    AugmentedMatrix,
-    DecompositionSpec,
-    brute_force_entry,
-    decompose,
-    decompose_improved,
-    parity_update,
-    spectrum_via_decomposition,
-    verify,
-)
-from .forrelation import (
-    ForrelationInstance,
-    Label,
-    classify,
-    default_eps,
-    forr,
-    forr_dense,
-    tightness_circuit,
-    trace_circuit,
-)
-from . import bounds
-
-__all__ = [name for name in dir() if not name.startswith("_")]
-__version__ = "0.1.0"

@@ -11,7 +11,9 @@ that carry chosen intermediate indices to the final column index.
 Every factor has operator norm at most 1, and the product (its empty-start
 row block, for the improved form) has Frobenius norm at most the smallest
 input Frobenius norm.  :func:`verify` certifies all of this numerically
-against :func:`brute_force_entry`, an independent raw summation.
+against :func:`brute_force_tensor`, an independent raw summation over all
+index paths; :func:`brute_force_entry` is the per-entry reference the tests
+check :func:`brute_force_tensor` against.
 
 The augmented index is flattened by :class:`AugmentedIndexer` alone.  Register
 digits are base N+1: digit 0 means "empty slot" and digit v in [1, N] stores

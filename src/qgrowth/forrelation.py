@@ -197,7 +197,7 @@ def tightness_level_growth(n: int, d: int) -> float:
 
 
 # ---------------------------------------------------------------------------
-# instance generators and serialization
+# instance generators
 
 
 def random_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInstance:
@@ -214,11 +214,3 @@ def forrelated_instance(k: int, n: int, rng: np.random.Generator) -> Forrelation
         signs = np.where(transformed >= 0, 1.0, -1.0)
         blocks[k - 1] = signs
     return ForrelationInstance(k, n, blocks)
-
-
-def instance_to_json(inst: ForrelationInstance) -> dict:
-    return {"k": inst.k, "n": inst.n, "blocks": inst.blocks.astype(int).tolist()}
-
-
-def instance_from_json(doc: dict) -> ForrelationInstance:
-    return ForrelationInstance(int(doc["k"]), int(doc["n"]), np.asarray(doc["blocks"], float))

@@ -8,13 +8,11 @@ index set means the j-th variable equals -1.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import combinations, permutations
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -49,7 +47,9 @@ def fwht(values: np.ndarray) -> np.ndarray:
 
 
 def level_masks(num_vars: int, level: int):
-    """All subset bitmasks of the given size, ascending."""
+    """All subset bitmasks of the given size, in ``itertools.combinations``
+    order of their positions (``level_masks(4, 2)`` gives 3, 5, 9, 6, 10, 12);
+    no caller depends on the order."""
     for combo in combinations(range(num_vars), level):
         mask = 0
         for pos in combo:
@@ -72,14 +72,6 @@ class FourierSpectrum:
             )
         object.__setattr__(self, "coeffs", coeffs)
 
-    def table(self) -> np.ndarray:
-        """Inverse transform back to the truth table."""
-        return fwht(self.coeffs)
-
-    def mean_square(self) -> float:
-        """sum_S coeff[S]^2; equals the mean of f^2 by Parseval."""
-        return float(np.sum(self.coeffs**2))
-
 
 def spectrum_from_table(table: np.ndarray) -> FourierSpectrum:
     table = np.asarray(table, dtype=float)
@@ -87,19 +79,6 @@ def spectrum_from_table(table: np.ndarray) -> FourierSpectrum:
     if table.size != 1 << num_vars:
         raise ShapeError(f"table length {table.size} is not a power of two")
     return FourierSpectrum(num_vars, fwht(table) / table.size)
-
-
-def spectrum(f: Callable[[np.ndarray], float], num_vars: int) -> FourierSpectrum:
-    """Exact spectrum of an evaluator on +/-1 vectors, via the full truth table."""
-    if num_vars > MAX_QUBITS:
-        raise ResourceLimitError(f"{num_vars} variables exceed the 2^{MAX_QUBITS} table cap")
-    size = 1 << num_vars
-    table = np.empty(size, dtype=float)
-    shifts = np.arange(num_vars)
-    for mask in range(size):
-        bits = (mask >> shifts) & 1
-        table[mask] = f(np.where(bits == 0, 1.0, -1.0))
-    return spectrum_from_table(table)
 
 
 def spectrum_of_algorithm(
@@ -282,14 +261,6 @@ def signed_growth(sp: FourierSpectrum, signs: SignFamily) -> float:
     return float(total)
 
 
-def maximizing_signs(sp: FourierSpectrum, level: int) -> SignFamily:
-    """The generic sign family alpha_S = sign(coeff_S) attaining the growth."""
-    values = {
-        mask: float(np.sign(sp.coeffs[mask])) for mask in level_masks(sp.num_vars, level)
-    }
-    return SignFamily(SignKind.GENERIC, level, sp.num_vars, values=values)
-
-
 # ---------------------------------------------------------------------------
 # direct-summation coefficient oracles
 
@@ -398,25 +369,6 @@ def direct_restricted_spectrum(
     return FourierSpectrum((bins.size - 1).bit_length(), bins)
 
 
-def direct_coefficient(spec: AlgorithmSpec, rho: Optional[Restriction], subset) -> float:
-    """One Fourier coefficient of the restricted acceptance, by direct summation.
-
-    ``subset`` is an iterable of original input coordinates; coordinates fixed
-    by rho make the coefficient zero.
-    """
-    n = spec.num_inputs
-    if rho is None:
-        rho = Restriction.all_free(n)
-    free = rho.free_indices.tolist()
-    position = {coord: j for j, coord in enumerate(free)}
-    mask = 0
-    for coord in subset:
-        if coord not in position:
-            return 0.0
-        mask |= 1 << position[coord]
-    return float(_direct_bins(spec, rho)[mask])
-
-
 # ---------------------------------------------------------------------------
 # level-3 block coefficients for the mixed-start-with-revealed-outcome model
 
@@ -505,34 +457,3 @@ def hbqp_alpha_signed_growth(
     ga, gb, gc = gamma[:block], gamma[block : 2 * block], gamma[2 * block :]
     weights = np.einsum("ba,bc,a,b,c->abc", hbar, hbar, ga, gb, gc)
     return float(np.sum(weights * tensor))
-
-
-# ---------------------------------------------------------------------------
-# serialization
-
-
-def spectrum_to_csv(sp: FourierSpectrum, path: str) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["mask", "coefficient"])
-        for mask, coeff in enumerate(sp.coeffs):
-            writer.writerow([mask, f"{coeff:.17g}"])
-
-
-def spectrum_to_json(sp: FourierSpectrum, path: str) -> None:
-    doc = {"num_vars": sp.num_vars, "coeffs": [float(c) for c in sp.coeffs]}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle)
-        handle.write("\n")
-
-
-def sign_family_from_json(doc: dict) -> SignFamily:
-    """Load a sign family: {"kind": "alpha_gamma"|"beta_gamma", "gamma": [...]}
-    or {"kind": "generic", "level": l, "num_vars": n, "values": [[mask, v], ...]}."""
-    kind = SignKind(doc["kind"])
-    if kind is SignKind.GENERIC:
-        values = {int(mask): float(val) for mask, val in doc["values"]}
-        return SignFamily(kind, int(doc["level"]), int(doc["num_vars"]), values=values)
-    gamma = np.asarray(doc["gamma"], dtype=float)
-    level = 3 if kind is SignKind.ALPHA_GAMMA else 6
-    return SignFamily(kind, level, gamma.size, gamma=gamma)

@@ -143,11 +143,6 @@ def phase_vector(x: np.ndarray, space: IndexSpace) -> np.ndarray:
     return np.repeat(x, space.work_dim * space.clean_dim)
 
 
-def phase_oracle(x: np.ndarray, space: IndexSpace) -> np.ndarray:
-    """M x M diagonal phase oracle: |i,w,c> -> x_i |i,w,c>."""
-    return np.diag(phase_vector(x, space).astype(complex))
-
-
 def is_unitary(a: np.ndarray, tol: float = NORM_SLACK) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -671,7 +671,8 @@ def _gate_from_json(doc: dict, m: int) -> np.ndarray:
 def spec_from_json(doc: dict):
     """Parse an algorithm-spec document; returns (AlgorithmSpec, Restriction or None).
 
-    Accepting sets use zero-based outcome indices in [0, M).
+    Accepting sets use zero-based outcome indices in [0, M); a HALF_BQP
+    accepting set is an M x M matrix of JSON integers 0 or 1.
     """
     if not isinstance(doc, dict):
         raise SpecificationError("spec document must be a JSON object")
@@ -687,7 +688,14 @@ def spec_from_json(doc: dict):
     m = space.total_dim
     gates = tuple(_gate_from_json(g, m) for g in doc["unitaries"])
     if model is Model.HALF_BQP:
-        accept = np.asarray(doc["accept"], dtype=float) > 0.5
+        rows = doc["accept"]
+        if not (isinstance(rows, list) and len(rows) == m and all(
+            isinstance(row, list) and len(row) == m
+            and all(type(v) is int and v in (0, 1) for v in row)  # JSON 0.7 and true are no bits
+            for row in rows
+        )):
+            raise ParameterError(f"HALF_BQP accept must be an {m}x{m} matrix of integers 0 or 1")
+        accept = np.array(rows, dtype=bool)
     else:
         outcomes = list(doc["accept"])
         if not all(type(v) is int and 0 <= v < m for v in outcomes):  # JSON true is no index

@@ -1,4 +1,7 @@
 import json
+import runpy
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,8 +120,14 @@ def _spec_doc(**changes):
     _spec_doc(n=1.7),
     _spec_doc(d=True),
     _spec_doc(w=-1),
+    _spec_doc(model="HALF_BQP", accept=[[0.7, 0], [1, 0]]),
+    _spec_doc(model="HALF_BQP", accept=[[True, 0], [1, 0]]),
+    _spec_doc(model="HALF_BQP", accept=[[2, 0], [1, 0]]),
+    _spec_doc(model="HALF_BQP", accept=[[1, 0], [1]]),
+    _spec_doc(model="HALF_BQP", accept=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
 ], ids=["no-model", "accept-5", "accept-negative", "accept-bool", "haar-no-seed", "list",
-        "n-float", "d-bool", "w-negative"])
+        "n-float", "d-bool", "w-negative", "hbqp-accept-float", "hbqp-accept-bool",
+        "hbqp-accept-2", "hbqp-accept-ragged", "hbqp-accept-shape"])
 def test_spectrum_rejects_malformed_spec(doc, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
@@ -167,3 +176,19 @@ def test_hybrid_growth_command(tmp_path):
 
 def test_bad_usage_exit_code():
     assert main(["growth", "--model", "dqck", "--n", "0"]) == 2
+
+
+def test_signed_growth_report_script_runs(monkeypatch, capsys):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_signed_growth_report.py"
+    monkeypatch.setattr(sys, "argv", [str(script), "--trials", "1"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    assert stop.value.code == 0
+    assert capsys.readouterr().out.startswith("block size N, trials,")
+
+
+def test_package_entry_point_help(monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["qgrowth", "--help"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_module("qgrowth", run_name="__main__")
+    assert stop.value.code == 0

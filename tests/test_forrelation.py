@@ -10,8 +10,6 @@ from qgrowth.forrelation import (
     forr,
     forr_dense,
     forrelated_instance,
-    instance_from_json,
-    instance_to_json,
     random_instance,
     tightness_circuit,
     tightness_coefficient,
@@ -133,13 +131,11 @@ def test_tightness_cap():
         tightness_circuit(3, 3)   # 24 live bits exceed the truth-table cap
 
 
-def test_generators_and_json_round_trip():
+def test_generators():
     rng = np.random.default_rng(10)
     inst = random_instance(2, 3, rng)
-    doc = instance_to_json(inst)
-    back = instance_from_json(doc)
-    assert back.k == inst.k and back.n == inst.n
-    assert np.array_equal(back.blocks, inst.blocks)
+    assert inst.k == 2 and inst.n == 3
+    assert inst.blocks.shape == (2, 8)
     forrelated = forrelated_instance(2, 4, rng)
     plain = random_instance(2, 4, rng)
     # the biased generator should usually beat a uniform draw

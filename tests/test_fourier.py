@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrowth.cli import main
 from qgrowth.errors import (
     ParameterError,
     ResourceLimitError,
@@ -18,7 +19,6 @@ from qgrowth.fourier import (
     _subset_sizes,
     alpha_gamma,
     beta_gamma,
-    direct_coefficient,
     direct_restricted_spectrum,
     embed_spectrum,
     fwht,
@@ -26,17 +26,12 @@ from qgrowth.fourier import (
     hbqp_alpha_signed_growth,
     hbqp_level3_block_tensor,
     level_masks,
-    maximizing_signs,
     restrict_spectrum,
-    sign_family_from_json,
     signed_growth,
-    spectrum,
     spectrum_from_table,
     spectrum_of_algorithm,
-    spectrum_to_csv,
-    spectrum_to_json,
 )
-from qgrowth.linalg import IndexSpace, f2_inner
+from qgrowth.linalg import IndexSpace, f2_inner, hadamard_matrix
 from qgrowth.models import (
     AlgorithmSpec,
     Model,
@@ -44,12 +39,18 @@ from qgrowth.models import (
     acceptance_direct,
     acceptance_formula,
     random_spec,
+    spec_to_json,
 )
 
 
 def _mask_to_x(mask, n):
     bits = (mask >> np.arange(n)) & 1
     return np.where(bits == 0, 1.0, -1.0)
+
+
+def _table_spectrum(f, n):
+    """Spectrum of an evaluator on +/-1 vectors, through its full truth table."""
+    return spectrum_from_table(np.array([f(_mask_to_x(m, n)) for m in range(1 << n)]))
 
 
 def _brute_spectrum(f, n):
@@ -65,13 +66,13 @@ def _brute_spectrum(f, n):
 
 
 def test_spectrum_constant():
-    sp = spectrum(lambda x: 0.7, 3)
+    sp = _table_spectrum(lambda x: 0.7, 3)
     assert sp.coeffs[0] == pytest.approx(0.7)
     assert np.max(np.abs(sp.coeffs[1:])) == 0.0
 
 
 def test_spectrum_parity_monomial():
-    sp = spectrum(lambda x: x[0] * x[1], 2)
+    sp = _table_spectrum(lambda x: x[0] * x[1], 2)
     want = np.zeros(4)
     want[0b11] = 1.0
     assert np.allclose(sp.coeffs, want)
@@ -90,9 +91,10 @@ def test_spectrum_round_trip_and_cap():
     rng = np.random.default_rng(6)
     table = rng.random(32)
     sp = spectrum_from_table(table)
-    assert np.max(np.abs(sp.table() - table)) <= 1e-10
+    assert np.max(np.abs(fwht(sp.coeffs) - table)) <= 1e-10
+    spec = random_spec(Model.BQP, IndexSpace(21), 1, rng)
     with pytest.raises(ResourceLimitError):
-        spectrum(lambda x: 0.0, 21)
+        spectrum_of_algorithm(spec)   # 2^21 table entries exceed the cap
 
 
 @settings(max_examples=60)
@@ -100,13 +102,13 @@ def test_spectrum_round_trip_and_cap():
 def test_parseval(values):
     table = np.array(values)
     sp = spectrum_from_table(table)
-    assert sp.mean_square() == pytest.approx(float(np.mean(table**2)), abs=1e-9)
+    assert np.sum(sp.coeffs**2) == pytest.approx(float(np.mean(table**2)), abs=1e-9)
 
 
 def test_growth_examples():
-    sp = spectrum(lambda x: 0.3, 4)
+    sp = _table_spectrum(lambda x: 0.3, 4)
     assert growth(sp, 1) == 0.0
-    sp = spectrum(lambda x: x[0] * x[1], 4)
+    sp = _table_spectrum(lambda x: x[0] * x[1], 4)
     assert growth(sp, 2) == pytest.approx(1.0)
     assert growth(sp, 7) == 0.0      # no subsets above num_vars
     with pytest.raises(ParameterError):
@@ -130,7 +132,9 @@ def test_growth_level_masks_are_cached_and_exact():
 def test_signed_growth_maximizer_and_zero():
     rng = np.random.default_rng(9)
     sp = spectrum_from_table(rng.random(16))
-    fam = maximizing_signs(sp, 2)
+    fam = SignFamily(SignKind.GENERIC, 2, 4, values={
+        m: float(np.sign(sp.coeffs[m])) for m in level_masks(4, 2)
+    })
     assert signed_growth(sp, fam) == pytest.approx(growth(sp, 2), abs=1e-12)
     zero = SignFamily(SignKind.GENERIC, 2, 4, values={m: 0.0 for m in level_masks(4, 2)})
     assert signed_growth(sp, zero) == 0.0
@@ -194,7 +198,7 @@ def test_sign_family_validation():
         SignFamily(SignKind.GENERIC, 2, 4, values={0b11: 1.5})
     with pytest.raises(SpecificationError):
         SignFamily(SignKind.GENERIC, 2, 4, values={0b111: 0.5})
-    sp = spectrum(lambda x: x[0], 3)
+    sp = _table_spectrum(lambda x: x[0], 3)
     with pytest.raises(SpecificationError):
         signed_growth(sp, SignFamily(SignKind.GENERIC, 1, 4, values={1: 1.0}))
 
@@ -284,20 +288,17 @@ def test_direct_summation_trivial_cases():
     )
 
 
-def test_direct_coefficient_by_subset():
+def test_direct_restricted_spectrum_by_subset():
     rng = np.random.default_rng(33)
     space = IndexSpace.qubits(2, 0, 1)
     spec = random_spec(Model.DQCK, space, 2, rng)
     rho = Restriction.from_string("**+*")
     want = spectrum_of_algorithm(spec, rho)
+    got = direct_restricted_spectrum(spec, rho)
     # free coords 0, 1, 3 -> spectrum variables 0, 1, 2
-    assert direct_coefficient(spec, rho, [0, 1]) == pytest.approx(
-        want.coeffs[0b011], abs=1e-8
-    )
-    assert direct_coefficient(spec, rho, [1, 3]) == pytest.approx(
-        want.coeffs[0b110], abs=1e-8
-    )
-    assert direct_coefficient(spec, rho, [2]) == 0.0  # fixed coordinate
+    assert got.num_vars == 3
+    assert got.coeffs[0b011] == pytest.approx(want.coeffs[0b011], abs=1e-8)   # {0, 1}
+    assert got.coeffs[0b110] == pytest.approx(want.coeffs[0b110], abs=1e-8)   # {1, 3}
 
 
 def test_direct_summation_guard():
@@ -337,28 +338,23 @@ def test_hbqp_alpha_signed_growth_matches_signed_growth():
     assert got == pytest.approx(want, abs=1e-9)
 
 
-def test_sign_family_json():
-    fam = sign_family_from_json({"kind": "alpha_gamma", "gamma": [1.0] * 12})
-    assert fam.kind is SignKind.ALPHA_GAMMA and fam.level == 3
-    fam = sign_family_from_json(
-        {"kind": "generic", "level": 2, "num_vars": 4, "values": [[3, -0.5]]}
-    )
-    assert fam.sign(3) == -0.5
-    assert fam.sign(5) == 0.0
-
-
 def test_spectrum_exports(tmp_path):
-    sp = spectrum(lambda x: x[0] * x[1], 2)
+    # qgrowth spectrum --format csv|json; the acceptance is (1 + x0 x1) / 2
+    had = hadamard_matrix(1)
+    spec = AlgorithmSpec(Model.BQP, IndexSpace.qubits(1), 1, (had, had), np.array([1, 0]))
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps(spec_to_json(spec)))
     csv_path = tmp_path / "sp.csv"
     json_path = tmp_path / "sp.json"
-    spectrum_to_csv(sp, str(csv_path))
-    spectrum_to_json(sp, str(json_path))
+    argv = ["spectrum", "--spec", str(spec_path), "--out"]
+    assert main(argv + [str(csv_path)]) == 0
+    assert main(argv + [str(json_path), "--format", "json"]) == 0
     lines = csv_path.read_text().strip().splitlines()
-    assert lines[0] == "mask,coefficient"
-    assert len(lines) == 5
+    assert lines[1] == "mask,coefficient"   # after the config comment line
+    assert len(lines) == 6
     doc = json.loads(json_path.read_text())
     assert doc["num_vars"] == 2
-    assert doc["coeffs"][3] == pytest.approx(1.0)
+    assert doc["coeffs"][3] == pytest.approx(0.5)
 
 
 def test_fwht_rejects_bad_length():

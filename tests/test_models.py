@@ -326,15 +326,25 @@ def test_spec_validation_errors():
         AlgorithmSpec(Model.BQP, space, 0, (np.eye(2),), np.ones(2, dtype=bool))
 
 
-def test_json_round_trip(tmp_path):
-    rng = np.random.default_rng(44)
-    space = IndexSpace.qubits(1, 1)
-    spec = random_spec(Model.BQP, space, 1, rng)
-    rho = Restriction.from_string("+*")
-    doc = spec_to_json(spec, rho)
+@settings(max_examples=40, deadline=None)
+@given(
+    model=st.sampled_from(list(Model)),
+    n=st.integers(1, 2),
+    w=st.integers(0, 1),
+    d=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+    data=st.data(),
+)
+def test_json_round_trip(model, n, w, d, seed, data):
+    # the HALF_BQP case loads the 0/1 accept matrix spec_to_json writes
+    rng = np.random.default_rng(seed)
+    space = IndexSpace.qubits(n, w, 1 if model is Model.DQCK else 0)
+    spec = random_spec(model, space, d, rng)
+    text = data.draw(st.text("+-*", min_size=space.oracle_dim, max_size=space.oracle_dim))
+    doc = spec_to_json(spec, Restriction.from_string(text))
     loaded, rho2 = spec_from_json(json.loads(json.dumps(doc)))
-    assert rho2.to_string() == "+*"
-    x = _random_x(rng, 2)
+    assert rho2.to_string() == text
+    x = _random_x(rng, space.oracle_dim)
     assert acceptance_direct(loaded, x) == pytest.approx(acceptance_direct(spec, x), abs=1e-12)
 
 
