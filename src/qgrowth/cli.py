@@ -20,7 +20,7 @@ import numpy as np
 
 from . import bounds, fourier, forrelation
 from .decomposition import random_decomposition_spec, verify
-from .errors import ParameterError, ResourceLimitError
+from .errors import ParameterError, ResourceLimitError, ValidationError
 from .linalg import IndexSpace, leq_tol
 from .models import (
     Model,
@@ -86,6 +86,13 @@ def _restriction_for(option, n, rng):
     return Restriction.from_string(option)
 
 
+def _finite(value: float, what: str) -> float:
+    """An observation to certify: NaN or inf is an error, never a violation."""
+    if not np.isfinite(value):
+        raise ValidationError(f"{what} is not finite: {value}")
+    return value
+
+
 def _config_of(args, keys) -> dict:
     return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
@@ -111,7 +118,8 @@ def cmd_growth(args) -> int:
         base = fourier.spectrum_of_algorithm(spec, workers=args.workers)
         sp = fourier.restrict_spectrum(base, rho)
         for level in levels:
-            observed[level] = max(observed[level], fourier.growth(sp, level))
+            got = _finite(fourier.growth(sp, level), f"level-{level} growth")
+            observed[level] = max(observed[level], got)
 
     rows = []
     all_pass = True
@@ -262,7 +270,7 @@ def cmd_hybrid_growth(args) -> int:
         hybrid = random_hybrid(Model.DQCK, space, args.d, rng, depth=depth)
         sp = fourier.spectrum_from_table(hybrid_truth_table(hybrid, workers=args.workers))
         for level in levels:
-            got = fourier.growth(sp, level)
+            got = _finite(fourier.growth(sp, level), f"level-{level} growth")
             ceiling = bounds.hybrid_dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
             ok = leq_tol(got, ceiling)
             all_pass &= ok

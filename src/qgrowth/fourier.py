@@ -28,6 +28,8 @@ from .models import AlgorithmSpec, Model, Restriction, formula_matrices, truth_t
 
 #: Feasibility guard for the direct-summation coefficient oracles.
 DIRECT_SUM_GUARD = 10**7
+#: Most index tuples one direct-summation block spans.
+_DIRECT_BLOCK = 1 << 16
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -304,50 +306,63 @@ def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
     """All Fourier coefficients of the restricted acceptance, by raw summation
     over index tuples of the closed-form expressions (independent of the
     transform pipeline).  Bin S collects tuples whose free phase indices have
-    symmetric difference S."""
+    symmetric difference S.
+
+    A tuple is a path I_0 ... I_L through the L matrices, weighted by
+    V_0[I_0, I_1] ... V_{L-1}[I_{L-1}, I_L]; BQP pins both ends to the old
+    basis state 0, the trace forms close the cycle (I_L = I_0).  The tuples
+    are enumerated by broadcasting, in blocks of at most 2^16: each block
+    fixes a prefix of leading indices and spans the rest as one tensor,
+    built left to right as ``w[..., None] * V_t``.  Its parity masks are an
+    XOR broadcast of per-slot bits, and two ``np.bincount`` calls (real and
+    imaginary parts) add the block into the bins."""
     vs, free_count, skip, old_of_new = _restricted_chain(spec, rho)
     m = spec.space.total_dim
-    d = spec.d
-    if spec.model is Model.BQP:
-        summed = 2 * d  # inner indices; both endpoints pinned to old basis state 0
-        cyclic = False
-    elif spec.model is Model.DQCK:
-        summed = 2 * d
-        cyclic = True
-    else:
-        summed = 2 * d + 2
-        cyclic = True
+    count = len(vs)
+    pinned = spec.model is Model.BQP
+    summed = count - 1 if pinned else count
     tuple_count = m**summed
     if tuple_count > DIRECT_SUM_GUARD:
         raise ResourceLimitError(
             f"direct summation needs {tuple_count} tuples, guard is {DIRECT_SUM_GUARD}"
         )
     oracle_of = spec.space.oracle_parts()
+    bit = np.where(oracle_of < free_count, np.int64(1) << oracle_of, 0)
+    slot_bits = [np.zeros(m, dtype=np.int64) if t in skip else bit for t in range(count)]
+    # slots before `lead` are fixed per block, the rest are the block's axes
+    prefix = 1
+    while m ** (summed - prefix) > _DIRECT_BLOCK:
+        prefix += 1
+    lead = prefix + pinned
+    masks = np.zeros((), dtype=np.int64)
+    for t in range(lead, count):
+        masks = masks[..., None] ^ slot_bits[t]
+    masks = masks.reshape(-1)
+    if spec.model is Model.HALF_BQP:
+        # accept[I_0, I_{d+1}] as a column on slot d+1's block axis: the guard
+        # keeps M^(d+1) <= sqrt(DIRECT_SUM_GUARD) < 2^16, so no block fixes it
+        tail = (1,) * (count - 2 - spec.d)
+        accept = spec.accept[old_of_new][:, old_of_new].reshape((m, m) + tail)
+    pin = np.flatnonzero(old_of_new == 0)[0]
     bins = np.zeros(1 << free_count, dtype=complex)
-    chunk = 1 << 16
-    for lo in range(0, tuple_count, chunk):
-        ids = np.arange(lo, min(lo + chunk, tuple_count))
-        digits = np.array(np.unravel_index(ids, (m,) * summed))
-        if spec.model is Model.BQP:
-            pins = np.full(ids.size, np.flatnonzero(old_of_new == 0)[0])
-            path = np.vstack([pins, digits, pins])  # I_1, inner, I_{2d+2}
-        else:
-            path = digits
-        weights = np.ones(ids.size, dtype=complex)
-        count = len(vs)
-        for t in range(count):
-            col = path[(t + 1) % count] if cyclic else path[t + 1]
-            weights *= vs[t][path[t], col]
+    for head in np.ndindex((m,) * prefix):
+        path = (pin,) + head if pinned else head
+        w = 1.0
+        for t in range(lead - 1):
+            w = w * vs[t][path[t], path[t + 1]]
+        w = w * vs[lead - 1][path[lead - 1]]
+        for t in range(lead, count - 1):
+            w = w[..., None] * vs[t]
+        w = w * vs[-1][:, pin if pinned else path[0]]
         if spec.model is Model.HALF_BQP:
-            weights *= spec.accept[old_of_new[path[0]], old_of_new[path[d + 1]]]
-        masks = np.zeros(ids.size, dtype=np.int64)
-        for t in range(count):
-            if t in skip:
-                continue
-            idx = oracle_of[path[t]]
-            live = idx < free_count
-            masks[live] ^= np.int64(1) << idx[live]
-        np.add.at(bins, masks, weights)
+            w = w * accept[path[0]]
+        fixed = 0
+        for t in range(lead):
+            fixed ^= int(slot_bits[t][path[t]])
+        w = w.reshape(-1)
+        block = masks ^ fixed
+        bins.real += np.bincount(block, w.real, minlength=bins.size)
+        bins.imag += np.bincount(block, w.imag, minlength=bins.size)
     if spec.model is Model.DQCK:
         bins /= spec.space.start_dim
     elif spec.model is Model.HALF_BQP:

@@ -128,7 +128,8 @@ class AlgorithmSpec:
     ``unitaries`` holds the d+1 gates applied between the d oracle calls.
     ``accept`` is a boolean mask over final outcomes for BQP/DQCK, and a
     boolean (start, outcome) matrix for HALF_BQP.  Both are stored as private
-    read-only copies, so the cached kernel plan cannot go stale.
+    read-only copies, so the cached kernel plan and formula matrices cannot
+    go stale.
     """
 
     model: Model
@@ -192,6 +193,38 @@ class AlgorithmSpec:
         fold = (second.reshape(-1, n, m // n).transpose(1, 0, 2) @ first).transpose(0, 2, 1)
         return np.ascontiguousarray(fold).view(float).reshape(n, -1), np.ascontiguousarray(last.T)
 
+    @cached_property
+    def _formula_matrices(self) -> tuple:
+        """Read-only matrices of :func:`formula_matrices`."""
+        gates = self.unitaries
+        d = self.d
+        if self.model is Model.BQP:
+            proj = np.diag(self.accept.astype(complex))
+            middle = gates[d].conj().T @ proj @ gates[d]
+            mats = (
+                [gates[t].conj().T for t in range(d)]
+                + [middle]
+                + [gates[t] for t in range(d - 1, -1, -1)]
+            )
+        elif self.model is Model.DQCK:
+            start_proj = np.zeros(self.space.total_dim, dtype=complex)
+            start_proj[self.start_indices()] = 1.0
+            first = gates[0] @ (start_proj[:, None] * gates[0].conj().T)
+            middle = gates[d].conj().T @ np.diag(self.accept.astype(complex)) @ gates[d]
+            mats = (
+                [first]
+                + [gates[t].conj().T for t in range(1, d)]
+                + [middle]
+                + [gates[t] for t in range(d - 1, 0, -1)]
+            )
+        else:
+            mats = [gates[t].conj().T for t in range(d + 1)] + [
+                gates[t] for t in range(d, -1, -1)
+            ]
+        for mat in mats:
+            mat.setflags(write=False)
+        return tuple(mats)
+
 
 def _real(value: complex, what: str, tol: float = IMAG_TOL) -> float:
     if abs(value.imag) > tol:
@@ -206,62 +239,42 @@ def acceptance_direct(spec: AlgorithmSpec, x: np.ndarray) -> float:
     return float(_table_chunk(spec, x[None, :])[0])
 
 
-def formula_matrices(spec: AlgorithmSpec) -> list:
+def formula_matrices(spec: AlgorithmSpec) -> tuple:
     """Bounded-norm matrix arrangement of the closed-form acceptance expression.
 
     BQP: f = <0| V_1 O V_2 ... O V_{2d+1} |0>.
     DQCK: f = (NW)^{-1} Tr((O V_1)(O V_2)...(O V_{2d})).
     HALF_BQP: f = M^{-1} sum_{a,b} F[a,b] L[a,b] R[b,a] with
         L = V_1 O ... O V_{d+1} and R = V_{d+2} O ... O V_{2d+2}.
+
+    Built once per spec and cached on it as a tuple of read-only arrays.
     """
-    gates = spec.unitaries
-    d = spec.d
-    if spec.model is Model.BQP:
-        proj = np.diag(spec.accept.astype(complex))
-        middle = gates[d].conj().T @ proj @ gates[d]
-        return (
-            [gates[t].conj().T for t in range(d)]
-            + [middle]
-            + [gates[t] for t in range(d - 1, -1, -1)]
-        )
-    if spec.model is Model.DQCK:
-        start_proj = np.zeros(spec.space.total_dim, dtype=complex)
-        start_proj[spec.start_indices()] = 1.0
-        first = gates[0] @ (start_proj[:, None] * gates[0].conj().T)
-        middle = gates[d].conj().T @ np.diag(spec.accept.astype(complex)) @ gates[d]
-        return (
-            [first]
-            + [gates[t].conj().T for t in range(1, d)]
-            + [middle]
-            + [gates[t] for t in range(d - 1, 0, -1)]
-        )
-    return [gates[t].conj().T for t in range(d + 1)] + [gates[t] for t in range(d, -1, -1)]
+    return spec._formula_matrices
 
 
 def acceptance_formula(spec: AlgorithmSpec, x: np.ndarray) -> float:
     """Acceptance probability by the matrix-product expression (not simulation)."""
     phases = phase_vector(x, spec.space)
     vs = formula_matrices(spec)
-    m = spec.space.total_dim
     if spec.model is Model.BQP:
-        vec = vs[-1][:, 0].copy()
+        vec = vs[-1][:, 0]
         for mat in vs[-2::-1]:
             vec = mat @ (phases * vec)
         return _real(vec[0], "BQP acceptance formula")
     if spec.model is Model.DQCK:
-        chain = np.eye(m, dtype=complex)
-        for mat in vs:
+        chain = phases[:, None] * vs[0]
+        for mat in vs[1:]:
             chain = chain @ (phases[:, None] * mat)
         return _real(np.trace(chain) / spec.space.start_dim, "DQCK acceptance formula")
     half = len(vs) // 2
-    left = vs[0].copy()
+    left = vs[0]
     for mat in vs[1:half]:
         left = left @ (phases[:, None] * mat)
-    right = vs[half].copy()
+    right = vs[half]
     for mat in vs[half + 1 :]:
         right = right @ (phases[:, None] * mat)
     total = np.einsum("ab,ab,ba->", spec.accept.astype(float), left, right)
-    return _real(total / m, "HALF_BQP acceptance formula")
+    return _real(total / spec.space.total_dim, "HALF_BQP acceptance formula")
 
 
 def bias(spec: AlgorithmSpec, x: np.ndarray) -> float:

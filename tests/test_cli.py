@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from qgrowth import fourier
 from qgrowth.cli import main
 from qgrowth.linalg import hadamard_matrix
 from qgrowth.models import Model, spec_to_json, AlgorithmSpec
@@ -61,6 +62,22 @@ def test_growth_rejects_out_of_range_random_restriction(prob, tmp_path):
             "--restriction", f"random:{prob}", "--out", str(tmp_path / "g.csv")]
     assert main(argv) == 2
     assert not (tmp_path / "g.csv").exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf")])
+@pytest.mark.parametrize("argv", [
+    ["growth", "--model", "bqp", "--n", "1", "--d", "1", "--levels", "1", "--trials", "1"],
+    ["hybrid-growth", "--n", "1", "--d", "1", "--levels", "2", "--trials", "1"],
+])
+def test_non_finite_observation_is_an_error(argv, value, monkeypatch, tmp_path, capsys):
+    # a NaN must not vanish into max() as a pass, nor show as a violation
+    monkeypatch.setattr(fourier, "growth", lambda sp, level: value)
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "not finite" in err
+    assert not out.exists()
 
 
 def test_forrelation_command(tmp_path):

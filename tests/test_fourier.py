@@ -243,6 +243,20 @@ def test_embed_spectrum_inverts_fold():
     assert np.allclose(back.coeffs, folded.coeffs)
 
 
+@given(
+    values=st.lists(st.floats(-1, 1), min_size=16, max_size=16),
+    text=st.text("+-*", min_size=4, max_size=4),
+)
+def test_embed_after_restrict_round_trip(values, text):
+    rho = Restriction.from_string(text)
+    folded = restrict_spectrum(spectrum_from_table(np.array(values)), rho)
+    embedded = embed_spectrum(folded, rho)
+    assert embedded.num_vars == 4
+    assert np.array_equal(embedded.coeffs[rho.embed_masks()], folded.coeffs)
+    assert np.count_nonzero(embedded.coeffs) == np.count_nonzero(folded.coeffs)
+    assert np.array_equal(restrict_spectrum(embedded, rho).coeffs, folded.coeffs)
+
+
 @pytest.mark.parametrize("model,k", [(Model.DQCK, 1), (Model.BQP, 0), (Model.HALF_BQP, 0)])
 def test_direct_summation_matches_transform(model, k):
     rng = np.random.default_rng(20 + k)
@@ -264,6 +278,39 @@ def test_direct_summation_with_fixed_coordinate_first(model):
     spec = random_spec(model, IndexSpace.qubits(1, 1, 0), 2, rng)
     for text in ("+*", "-*"):
         rho = Restriction.from_string(text)
+        got = direct_restricted_spectrum(spec, rho)
+        want = spectrum_of_algorithm(spec, rho)
+        assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    model=st.sampled_from(list(Model)),
+    n=st.integers(1, 2),
+    w=st.integers(0, 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_direct_summation_matches_transform_on_random_specs(data, model, n, w, seed):
+    space = IndexSpace.qubits(n, w, 1 if model is Model.DQCK else 0)
+    unphased = 2 if model is Model.HALF_BQP else 0
+    top = max(d for d in (1, 2, 3) if space.total_dim ** (2 * d + unphased) <= 1 << 18)
+    d = data.draw(st.integers(1, top))
+    text = data.draw(st.text("+-*", min_size=space.oracle_dim, max_size=space.oracle_dim))
+    spec = random_spec(model, space, d, np.random.default_rng(seed))
+    rho = Restriction.from_string(text)
+    got = direct_restricted_spectrum(spec, rho)
+    want = spectrum_of_algorithm(spec, rho)
+    assert got.num_vars == want.num_vars
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+
+def test_direct_summation_over_several_leading_indices():
+    # 4^10 tuples: every block fixes more than one leading index
+    rng = np.random.default_rng(41)
+    spec = random_spec(Model.BQP, IndexSpace.qubits(1, 1, 0), 5, rng)
+    for text in (None, "-*"):
+        rho = Restriction.from_string(text) if text else None
         got = direct_restricted_spectrum(spec, rho)
         want = spectrum_of_algorithm(spec, rho)
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8

@@ -23,6 +23,7 @@ from qgrowth.models import (
     acceptance_formula,
     acceptance_hybrid,
     bias,
+    formula_matrices,
     hybrid_truth_table,
     interference_circuit,
     random_hybrid,
@@ -126,6 +127,35 @@ def test_restriction_parsing_round_trip():
     assert rho.free_indices.tolist() == [2]
     with pytest.raises(ValidationError):
         Restriction.from_string("+?")
+
+
+@given(st.text("+-*", max_size=24))
+def test_restriction_string_round_trip(text):
+    rho = Restriction.from_string(text)
+    assert rho.to_string() == text
+    assert rho.free_indices.tolist() == [i for i, ch in enumerate(text) if ch == "*"]
+
+
+@given(
+    st.text("+-*", max_size=4),
+    st.characters(codec="ascii", exclude_characters="+-*"),
+    st.text("+-*", max_size=4),
+)
+def test_restriction_string_rejects_other_characters(head, bad, tail):
+    with pytest.raises(ValidationError):
+        Restriction.from_string(head + bad + tail)
+
+
+@pytest.mark.parametrize("model", list(Model))
+def test_formula_matrices_are_cached_and_read_only(model):
+    space = IndexSpace.qubits(1, 0, 1 if model is Model.DQCK else 0)
+    spec = random_spec(model, space, 2, np.random.default_rng(8))
+    mats = formula_matrices(spec)
+    assert isinstance(mats, tuple)
+    assert formula_matrices(spec) is mats
+    for mat in mats:
+        with pytest.raises(ValueError):
+            mat[0, 0] = 0.0
 
 
 def test_reduce_clean_qubits_ratio():
