@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from qgrowth.forrelation import trace_circuit
+from qgrowth.forrelation import tightness_circuit
 from qgrowth.fourier import (
     SignFamily,
     SignKind,
@@ -46,7 +46,7 @@ def main() -> int:
         ratio = worst / (args.d**3 * np.sqrt(block))
         print(f"{block:3d}, {args.trials}, {worst:.6f}, {ratio:.3e}")
 
-    circ = trace_circuit(3, 2)
+    circ = tightness_circuit(2, 3)
     sp = spectrum_of_algorithm(circ.spec, circ.rho)
     family = SignFamily(SignKind.ALPHA_GAMMA, 3, 12, gamma=np.ones(12))
     print(f"three-block trace circuit (N=4), gamma=1: "

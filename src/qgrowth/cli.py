@@ -72,7 +72,10 @@ def _emit(path, config, header, rows, payload, fmt: str) -> None:
 
 
 def _parse_levels(text: str):
-    return [int(part) for part in text.split(",") if part]
+    levels = [int(part) for part in text.split(",") if part]
+    if not levels:
+        raise ParameterError(f"--levels needs at least one level, got {text!r}")
+    return levels
 
 
 def _restriction_for(option, n, rng):
@@ -164,7 +167,7 @@ def cmd_verify_decomposition(args) -> int:
 
 def cmd_forrelation(args) -> int:
     rng = np.random.default_rng(args.seed)
-    eps = args.eps if args.eps else forrelation.default_eps(args.k, 1 << args.n)
+    eps = args.eps if args.eps is not None else forrelation.default_eps(args.k, 1 << args.n)
     rows = []
     ok = True
     for trial in range(args.trials):
@@ -365,6 +368,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return _USAGE_EXIT
+    if getattr(args, "trials", 1) < 1:
+        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
         return _USAGE_EXIT
     try:
         return args.func(args)

@@ -3,9 +3,10 @@ single-clean-qubit trace circuits that realize it at desk scale.
 
 ``forr`` evaluates the amplitude <0..0| H O_1 H O_2 ... H O_k H |0..0> two
 independent ways (fast-transform statevector vs dense matrix product).
-``trace_circuit`` and ``tightness_circuit`` build DQC1 algorithms whose
-acceptance probability is 1/2 + Tr(O_1 H O_2 H ... O_k H) / (2N); the
-tightness family attains the level-d growth ceiling exactly.
+``tightness_circuit(n, d)`` is the one constructor of the trace circuits: DQC1
+algorithms over d blocks of N = 2^n live bits whose acceptance probability is
+1/2 + Tr(O_1 H O_2 H ... O_d H) / (2N).  As a family they attain the level-d
+growth ceiling exactly.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 from .errors import ParameterError, ResourceLimitError, ShapeError, ValidationError
 from .fourier import fwht
 from .linalg import MAX_QUBITS, f2_inner, hadamard_matrix
-from .models import CircuitBundle, Restriction, interference_circuit
+from .models import CircuitBundle, interference_circuit
 
 _FORR_MAX_N = 12
 
@@ -75,7 +76,7 @@ class Label(Enum):
 def classify(inst: ForrelationInstance, eps: float) -> Label:
     """Decision rule: -1 when the amplitude is >= 2*eps, +1 when <= eps,
     GAP in between (the promise is violated)."""
-    if eps <= 0:
+    if not eps > 0:  # NaN included
         raise ParameterError(f"eps must be positive, got {eps}")
     value = forr(inst)
     if value >= 2 * eps:
@@ -98,34 +99,17 @@ def default_eps(k: int, big_n: int) -> float:
 
 
 @dataclass(frozen=True)
-class TraceCircuit:
-    """A DQC1 algorithm (with its activating restriction) whose acceptance is
+class TraceCircuit(CircuitBundle):
+    """A DQC1 algorithm (with its activating restriction) whose acceptance at
+    the block-major live input ``blocks.reshape(-1)`` is
     1/2 + Tr(O_1 H O_2 H ... O_blocks H) / (2 * block_size)."""
 
-    bundle: CircuitBundle
     n: int
     num_blocks: int
 
     @property
-    def spec(self):
-        return self.bundle.spec
-
-    @property
-    def rho(self) -> Restriction:
-        return self.bundle.rho
-
-    @property
     def block_size(self) -> int:
         return 1 << self.n
-
-    def acceptance(self, blocks: np.ndarray) -> float:
-        """Acceptance at the given (num_blocks, block_size) +/-1 inputs."""
-        blocks = np.asarray(blocks, dtype=float)
-        if blocks.shape != (self.num_blocks, self.block_size):
-            raise ShapeError(
-                f"expected blocks of shape ({self.num_blocks}, {self.block_size})"
-            )
-        return self.bundle.live_value(blocks.reshape(-1))
 
     def trace_value(self, blocks: np.ndarray) -> float:
         """Tr(O_1 H O_2 H ... O_k H), by dense products (the cross-check)."""
@@ -137,43 +121,26 @@ class TraceCircuit:
         return float(np.trace(total))
 
 
-def _rotating_circuit(n: int, num_blocks: int) -> TraceCircuit:
-    size = 1 << n
-    live = num_blocks * size
-    had = hadamard_matrix(n)
-    step = np.kron(np.eye(num_blocks), had)
-    positions = np.arange(live)
-    rotated = ((positions // size - 1) % num_blocks) * size + positions % size
-    perm = np.zeros((live, live))
-    perm[rotated, positions] = 1.0
-    gate = perm @ step
-    bundle = interference_circuit([gate] * num_blocks)
-    return TraceCircuit(bundle, n, num_blocks)
-
-
-def trace_circuit(k: int, n: int) -> TraceCircuit:
-    """DQC1 algorithm over k*N live input bits with acceptance
-    1/2 + Tr(O_{x^(1)} H ... O_{x^(k)} H) / (2N)."""
-    if k < 1:
-        raise ParameterError(f"k must be >= 1, got {k}")
-    if not 1 <= n <= MAX_QUBITS:
-        raise ParameterError(f"n must lie in [1, {MAX_QUBITS}], got {n}")
-    return _rotating_circuit(n, k)
-
-
 def tightness_circuit(n: int, d: int) -> TraceCircuit:
-    """The d-query growth-saturating family over d*N live input bits.
+    """The d-query trace circuit over d*N live input bits, N = 2^n.
 
-    Its spectrum is supported on subsets picking one index per block, all of
-    magnitude 1 / (2N * N^(d/2)), so the level-d growth is N^(d/2 - 1) / 2.
+    Each round applies H to every block and moves block t to block t - 1, so
+    the acceptance is 1/2 + Tr(O_1 H ... O_d H) / (2N).  Its spectrum is
+    supported on subsets picking one index per block, all of magnitude
+    1 / (2N * N^(d/2)), so the level-d growth is N^(d/2 - 1) / 2.
     """
-    if d < 1:
-        raise ParameterError(f"d must be >= 1, got {d}")
+    if n < 1 or d < 1:
+        raise ParameterError(f"n and d must be >= 1, got n={n}, d={d}")
     if d * (1 << n) > MAX_QUBITS:
         raise ResourceLimitError(
             f"tightness circuit needs a truth table over {d * (1 << n)} bits (cap {MAX_QUBITS})"
         )
-    return _rotating_circuit(n, d)
+    size = 1 << n
+    live = np.arange(d * size)
+    step = np.kron(np.eye(d), hadamard_matrix(n))
+    gate = step[((live // size + 1) % d) * size + live % size]
+    bundle = interference_circuit([gate] * d)
+    return TraceCircuit(bundle.spec, bundle.rho, bundle.live_coords, n, d)
 
 
 def tightness_coefficient(circuit: TraceCircuit, offsets) -> float:

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
-from itertools import combinations, permutations
+from functools import cached_property, lru_cache
+from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -23,7 +23,7 @@ from .errors import (
     SpecificationError,
     ValidationError,
 )
-from .linalg import IMAG_TOL, MAX_QUBITS, f2_inner, sign_hadamard
+from .linalg import IMAG_TOL, MAX_QUBITS, f2_inner
 from .models import AlgorithmSpec, Model, Restriction, formula_matrices, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
@@ -46,17 +46,6 @@ def fwht(values: np.ndarray) -> np.ndarray:
         out = np.stack([top, bottom], axis=1).reshape(-1)
         width *= 2
     return out
-
-
-def level_masks(num_vars: int, level: int):
-    """All subset bitmasks of the given size, in ``itertools.combinations``
-    order of their positions (``level_masks(4, 2)`` gives 3, 5, 9, 6, 10, 12);
-    no caller depends on the order."""
-    for combo in combinations(range(num_vars), level):
-        mask = 0
-        for pos in combo:
-            mask |= 1 << pos
-        yield mask
 
 
 @dataclass(frozen=True)
@@ -174,15 +163,18 @@ class SignFamily:
             if self.values is None:
                 raise SpecificationError("generic sign family needs a mask -> value map")
             for mask, val in self.values.items():
-                if abs(val) > 1 + 1e-12:
+                if not abs(val) <= 1 + 1e-12:  # NaN included
                     raise ValidationError(f"sign magnitude exceeds 1 at mask {mask}")
-                if bin(mask).count("1") != self.level:
-                    raise SpecificationError(f"mask {mask:b} is not level {self.level}")
+                if mask >> self.num_vars or bin(mask).count("1") != self.level:
+                    raise SpecificationError(
+                        f"mask {mask:b} is not a level-{self.level} subset of "
+                        f"{self.num_vars} variables"
+                    )
         else:
             gamma = np.asarray(self.gamma, dtype=float)
             if gamma.shape != (self.num_vars,):
                 raise ShapeError("gamma vector length must equal num_vars")
-            if np.any(np.abs(gamma) > 1 + 1e-12):
+            if not np.all(np.abs(gamma) <= 1 + 1e-12):  # NaN included
                 raise ValidationError("gamma entries must lie in [-1, 1]")
             if self.num_vars % 3:
                 raise SpecificationError("structured sign families need num_vars divisible by 3")
@@ -191,62 +183,41 @@ class SignFamily:
                 raise SpecificationError(f"{self.kind.value} requires level {want}")
             object.__setattr__(self, "gamma", gamma)
 
-    @property
-    def block_size(self) -> int:
-        return self.num_vars // 3
+    @cached_property
+    def table(self) -> tuple:
+        """Read-only (masks, weights): the subsets the family can weigh nonzero
+        and their signs, so signed growth is ``weights @ coeffs[masks]``.
 
-    def sign(self, mask: int) -> float:
+        ALPHA takes one element per block and weighs {a, b, c} by
+        ``_alpha_tensor``; BETA takes two elements per block, pairs them in
+        sorted order and weighs the set by the product of the two alphas."""
         if self.kind is SignKind.GENERIC:
-            return float(self.values.get(mask, 0.0))
-        if self.kind is SignKind.ALPHA_GAMMA:
-            return alpha_gamma(self, mask)
-        return beta_gamma(self, mask)
+            count = len(self.values)
+            masks = np.fromiter(self.values.keys(), dtype=np.int64, count=count)
+            weights = np.fromiter(self.values.values(), dtype=float, count=count)
+        else:
+            block = self.num_vars // 3
+            bits = (np.int64(1) << np.arange(self.num_vars, dtype=np.int64)).reshape(3, block)
+            alpha = _alpha_tensor(self.gamma)
+            if self.kind is SignKind.BETA_GAMMA:
+                low, high = np.triu_indices(block, 1)
+                bits = bits[:, low] | bits[:, high]
+                alpha = alpha[np.ix_(low, low, low)] * alpha[np.ix_(high, high, high)]
+            masks = bits[0][:, None, None] | bits[1][None, :, None] | bits[2][None, None, :]
+            masks, weights = masks.reshape(-1), alpha.reshape(-1)
+        masks.setflags(write=False)
+        weights.setflags(write=False)
+        return masks, weights
 
 
-def _block_split(mask: int, block: int):
-    """Set bits of the mask grouped into the three blocks, block-local values."""
-    groups = ([], [], [])
-    pos = 0
-    while mask:
-        if mask & 1:
-            groups[pos // block].append(pos % block)
-        mask >>= 1
-        pos += 1
-    return groups
-
-
-def _alpha_value(signs: SignFamily, a: int, b: int, c: int) -> float:
-    block = signs.block_size
-    sgn = -1.0 if (f2_inner(b, a) ^ f2_inner(b, c)) else 1.0
-    return sgn * signs.gamma[a] * signs.gamma[block + b] * signs.gamma[2 * block + c]
-
-
-def alpha_gamma(signs: SignFamily, mask: int) -> float:
-    """Level-3 structured sign: nonzero only with one element per block; then
-    the product of two Hadamard signs (middle block against the outer two)
-    and the three gamma entries."""
-    if signs.kind is not SignKind.ALPHA_GAMMA:
-        raise SpecificationError("alpha_gamma needs an ALPHA_GAMMA family")
-    if bin(mask).count("1") != 3:
-        raise SpecificationError("alpha_gamma takes level-3 masks")
-    groups = _block_split(mask, signs.block_size)
-    if any(len(g) != 1 for g in groups):
-        return 0.0
-    return _alpha_value(signs, groups[0][0], groups[1][0], groups[2][0])
-
-
-def beta_gamma(signs: SignFamily, mask: int) -> float:
-    """Level-6 structured sign: two elements per block, canonicalized in sorted
-    block order, valued as the product of the two level-3 signs."""
-    if signs.kind is not SignKind.BETA_GAMMA:
-        raise SpecificationError("beta_gamma needs a BETA_GAMMA family")
-    if bin(mask).count("1") != 6:
-        raise SpecificationError("beta_gamma takes level-6 masks")
-    groups = _block_split(mask, signs.block_size)
-    if any(len(g) != 2 for g in groups):
-        return 0.0
-    (a1, a2), (b1, b2), (c1, c2) = (sorted(g) for g in groups)
-    return _alpha_value(signs, a1, b1, c1) * _alpha_value(signs, a2, b2, c2)
+def _alpha_tensor(gamma: np.ndarray) -> np.ndarray:
+    """The (B, B, B) level-3 structured signs over block-local indices:
+    alpha[a, b, c] = (-1)^(<b,a> + <b,c>) * gamma_a * gamma_{B+b} * gamma_{2B+c},
+    the middle block's Hadamard signs against the outer two."""
+    idx = np.arange(gamma.size // 3)
+    hbar = np.where(f2_inner(idx[:, None], idx), -1.0, 1.0)
+    ga, gb, gc = gamma.reshape(3, -1)
+    return np.einsum("ba,bc,a,b,c->abc", hbar, hbar, ga, gb, gc)
 
 
 def signed_growth(sp: FourierSpectrum, signs: SignFamily) -> float:
@@ -255,12 +226,8 @@ def signed_growth(sp: FourierSpectrum, signs: SignFamily) -> float:
         raise SpecificationError(
             f"sign family is over {signs.num_vars} variables, spectrum over {sp.num_vars}"
         )
-    total = 0.0
-    for mask in level_masks(sp.num_vars, signs.level):
-        coeff = sp.coeffs[mask]
-        if coeff:
-            total += signs.sign(mask) * coeff
-    return float(total)
+    masks, weights = signs.table
+    return float(weights @ sp.coeffs[masks])
 
 
 # ---------------------------------------------------------------------------
@@ -461,14 +428,6 @@ def hbqp_alpha_signed_growth(
 ) -> float:
     """Signed level-3 growth against the structured alpha family, computed from
     the block coefficient tensor (no truth table)."""
-    gamma = np.asarray(gamma, dtype=float)
-    n = spec.num_inputs
-    block = n // 3
-    bits = (block - 1).bit_length()
-    if (1 << bits) != block:
-        raise SpecificationError("block-local Hadamard signs need a power-of-two block size")
+    signs = SignFamily(SignKind.ALPHA_GAMMA, 3, spec.num_inputs, gamma=gamma)
     tensor = hbqp_level3_block_tensor(spec, rho)
-    hbar = sign_hadamard(bits).astype(float)
-    ga, gb, gc = gamma[:block], gamma[block : 2 * block], gamma[2 * block :]
-    weights = np.einsum("ba,bc,a,b,c->abc", hbar, hbar, ga, gb, gc)
-    return float(np.sum(weights * tensor))
+    return float(np.sum(_alpha_tensor(signs.gamma) * tensor))

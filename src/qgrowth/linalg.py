@@ -80,12 +80,14 @@ class IndexSpace:
         return np.repeat(np.arange(self.oracle_dim), self.work_dim * self.clean_dim)
 
 
-def f2_inner(i: int, j: int) -> int:
+def f2_inner(i, j):
     """Inner product over F2 of the bit strings encoded by indices ``i`` and ``j``.
 
     Zero-based: index 0 encodes the all-zeros string, so ``f2_inner(0, j) == 0``.
+    Takes ints or integer arrays (elementwise, broadcasting); the one parity
+    helper of the package.
     """
-    return (i & j).bit_count() & 1
+    return np.bitwise_count(np.bitwise_and(i, j)) & 1
 
 
 def hadamard_matrix(n: int) -> np.ndarray:
@@ -101,10 +103,8 @@ def sign_hadamard(n: int) -> np.ndarray:
     """The +/-1 sign pattern of the Hadamard matrix: entry (i,j) = (-1)^<i,j>_2."""
     if not 1 <= n <= MAX_QUBITS:
         raise DimensionError(f"Hadamard order n must be in [1, {MAX_QUBITS}], got {n}")
-    size = 1 << n
-    idx = np.arange(size, dtype=np.uint64)
-    parity = np.bitwise_count(idx[:, None] & idx[None, :]) & 1
-    return np.where(parity == 0, 1, -1).astype(np.int64)
+    idx = np.arange(1 << n)
+    return np.where(f2_inner(idx[:, None], idx), -1, 1)
 
 
 def operator_norm(a: np.ndarray) -> float:

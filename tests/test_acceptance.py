@@ -14,7 +14,6 @@ from qgrowth.forrelation import (
     tightness_circuit,
     tightness_coefficient,
     tightness_level_growth,
-    trace_circuit,
 )
 from qgrowth.fourier import (
     SignFamily,
@@ -240,7 +239,7 @@ def test_criterion_8_signed_growth():
 
     # the three-block trace circuit against the all-ones structured signs,
     # reported for reference (no asserted value)
-    circ = trace_circuit(3, 2)
+    circ = tightness_circuit(2, 3)
     sp3 = spectrum_of_algorithm(circ.spec, circ.rho)
     ones = SignFamily(SignKind.ALPHA_GAMMA, 3, 12, gamma=np.ones(12))
     print(f"    3-block trace circuit (N=4): signed level-3 growth "
@@ -284,11 +283,11 @@ def test_criterion_10_forrelation_pipeline():
         worst_amp = max(worst_amp, abs(value - forr_dense(inst)))
     worst_trace = 0.0
     for k, n in [(1, 2), (2, 2), (3, 1), (2, 3)]:
-        circ = trace_circuit(k, n)
+        circ = tightness_circuit(n, k)
         for _ in range(5):
             blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
             want = 0.5 + circ.trace_value(blocks) / (2 * circ.block_size)
-            worst_trace = max(worst_trace, abs(circ.acceptance(blocks) - want))
+            worst_trace = max(worst_trace, abs(circ.live_value(blocks.reshape(-1)) - want))
     ok = worst_amp <= 1e-12 and largest <= 1 + 1e-12 and worst_trace <= 1e-9
     _report(10, ok, f"1000 amplitude pairs, max gap {worst_amp:.2e}, "
                     f"max |amplitude| {largest:.6f}; "

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import json
 import runpy
 import sys
@@ -164,6 +166,87 @@ def test_workers_below_one_is_a_usage_error(workers, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "--workers" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+@pytest.mark.parametrize("argv", [
+    ["growth", "--model", "bqp", "--n", "1", "--d", "1"],
+    ["hybrid-growth", "--n", "1", "--d", "1"],
+    ["verify-decomposition"],
+    ["forrelation", "--k", "1", "--n", "2"],
+])
+def test_trials_below_one_is_a_usage_error(argv, trials, tmp_path, capsys):
+    # no trial would run, so "pass" would certify nothing
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--trials", trials, "--workers", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "--trials" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["growth", "hybrid-growth"])
+@pytest.mark.parametrize("levels", ["", ","])
+def test_empty_level_list_is_a_usage_error(command, levels, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    argv = [command, "--n", "1", "--d", "1", "--trials", "1", "--levels", levels,
+            "--workers", "1", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "--levels" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("eps", ["0", "-0.5", "nan"])
+def test_forrelation_eps_must_be_positive(eps, tmp_path, capsys):
+    # --eps 0 is a value, not "unset": it must not fall back to the default
+    out = tmp_path / "forr.csv"
+    argv = ["forrelation", "--k", "2", "--n", "3", "--trials", "2", "--eps", eps,
+            "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "eps must be positive" in err
+    assert not out.exists()
+
+
+def _perfbench_references():
+    """Every (module, dotted name) that perfbench/*.py takes from qgrowth:
+    ``from qgrowth... import`` names and attribute chains on imported modules."""
+    refs = set()
+    for path in sorted(Path(__file__).resolve().parents[1].glob("perfbench/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        modules = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "qgrowth":
+                for alias in node.names:
+                    refs.add((node.module, alias.name))
+                    if node.module == "qgrowth":
+                        modules[alias.asname or alias.name] = f"qgrowth.{alias.name}"
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.insert(0, node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in modules:
+                refs.add((modules[node.id], ".".join(chain)))
+    return refs
+
+
+def test_benchmark_surface_exists():
+    refs = _perfbench_references()
+    assert ("qgrowth.fourier", "hbqp_alpha_signed_growth") in refs
+    missing = []
+    for module, name in sorted(refs):
+        try:
+            target = importlib.import_module(module)
+            for part in name.split("."):
+                target = (getattr(target, part) if hasattr(target, part)
+                          else importlib.import_module(f"{target.__name__}.{part}"))
+        except (AttributeError, ImportError):
+            missing.append(f"{module}:{name}")
+    assert missing == []
 
 
 def test_spectrum_command_requires_spec():

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qgrowth import forrelation
 from qgrowth.errors import ParameterError, ResourceLimitError, ShapeError
 from qgrowth.forrelation import (
     ForrelationInstance,
@@ -14,7 +15,6 @@ from qgrowth.forrelation import (
     tightness_circuit,
     tightness_coefficient,
     tightness_level_growth,
-    trace_circuit,
 )
 from qgrowth.fourier import growth, spectrum_of_algorithm
 from qgrowth.linalg import hadamard_matrix
@@ -66,6 +66,8 @@ def test_classify_thresholds():
     assert classify(gap, value / 1.5) is Label.GAP
     with pytest.raises(ParameterError):
         classify(plus, 0.0)
+    with pytest.raises(ParameterError):
+        classify(plus, float("nan"))   # every comparison is false: all GAP
 
 
 def test_default_eps_values():
@@ -79,29 +81,29 @@ def test_default_eps_values():
 def test_trace_circuit_all_ones_collapses():
     # k even: H^k = I, so Tr = N and acceptance = 1/2 + 1/2 at k = 2... the
     # trace is Tr(H^2) = Tr(I) = N, giving 1/2 + N / (2N) = 1
-    circ = trace_circuit(2, 1)
+    circ = tightness_circuit(1, 2)
     blocks = np.ones((2, 2))
     assert circ.trace_value(blocks) == pytest.approx(2.0)
-    assert circ.acceptance(blocks) == pytest.approx(1.0, abs=1e-9)
+    assert circ.live_value(blocks.reshape(-1)) == pytest.approx(1.0, abs=1e-9)
     # k = 1: Tr(H_N) computed numerically
-    circ = trace_circuit(1, 2)
+    circ = tightness_circuit(2, 1)
     blocks = np.ones((1, 4))
     want = 0.5 + np.trace(hadamard_matrix(2)) / 8
-    assert circ.acceptance(blocks) == pytest.approx(want, abs=1e-9)
+    assert circ.live_value(blocks.reshape(-1)) == pytest.approx(want, abs=1e-9)
 
 
 def test_trace_circuit_matches_formula_random():
     rng = np.random.default_rng(9)
     for k, n in [(1, 2), (2, 2), (3, 1)]:
-        circ = trace_circuit(k, n)
+        circ = tightness_circuit(n, k)
         for _ in range(5):
             blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
             want = 0.5 + circ.trace_value(blocks) / (2 * circ.block_size)
-            assert circ.acceptance(blocks) == pytest.approx(want, abs=1e-9)
+            assert circ.live_value(blocks.reshape(-1)) == pytest.approx(want, abs=1e-9)
 
 
 def test_trace_circuit_is_dqc1_with_restriction():
-    circ = trace_circuit(2, 1)
+    circ = tightness_circuit(1, 2)
     assert circ.spec.space.clean_dim == 2
     assert circ.rho.fixed_indices.size == circ.rho.free_indices.size
     x = restrict(np.ones(circ.spec.num_inputs), circ.rho)
@@ -129,6 +131,20 @@ def test_tightness_small_structure():
 def test_tightness_cap():
     with pytest.raises(ResourceLimitError):
         tightness_circuit(3, 3)   # 24 live bits exceed the truth-table cap
+
+
+def test_tightness_guard_trips_before_building(monkeypatch):
+    # 4096 live bits would need 16384 x 16384 complex gates (4 GiB each)
+    def refuse(*args):
+        raise AssertionError("the guard let construction start")
+
+    monkeypatch.setattr(forrelation, "hadamard_matrix", refuse)
+    monkeypatch.setattr(forrelation, "interference_circuit", refuse)
+    with pytest.raises(ResourceLimitError, match="4096 bits"):
+        tightness_circuit(12, 1)
+    for n, d in [(0, 1), (1, 0), (-1, 2)]:
+        with pytest.raises(ParameterError):
+            tightness_circuit(n, d)
 
 
 def test_generators():

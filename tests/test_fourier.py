@@ -1,4 +1,5 @@
 import json
+from itertools import product
 
 import numpy as np
 import pytest
@@ -14,18 +15,16 @@ from qgrowth.errors import (
     ValidationError,
 )
 from qgrowth.fourier import (
+    FourierSpectrum,
     SignFamily,
     SignKind,
     _subset_sizes,
-    alpha_gamma,
-    beta_gamma,
     direct_restricted_spectrum,
     embed_spectrum,
     fwht,
     growth,
     hbqp_alpha_signed_growth,
     hbqp_level3_block_tensor,
-    level_masks,
     restrict_spectrum,
     signed_growth,
     spectrum_from_table,
@@ -129,14 +128,25 @@ def test_growth_level_masks_are_cached_and_exact():
         masks[0] = 1
 
 
+def _masks_of_level(num_vars, level):
+    return np.flatnonzero(_subset_sizes(num_vars) == level).tolist()
+
+
+def _sign(fam, mask):
+    """The family's sign at one subset, read through a one-hot spectrum."""
+    coeffs = np.zeros(1 << fam.num_vars)
+    coeffs[mask] = 1.0
+    return signed_growth(FourierSpectrum(fam.num_vars, coeffs), fam)
+
+
 def test_signed_growth_maximizer_and_zero():
     rng = np.random.default_rng(9)
     sp = spectrum_from_table(rng.random(16))
     fam = SignFamily(SignKind.GENERIC, 2, 4, values={
-        m: float(np.sign(sp.coeffs[m])) for m in level_masks(4, 2)
+        m: float(np.sign(sp.coeffs[m])) for m in _masks_of_level(4, 2)
     })
     assert signed_growth(sp, fam) == pytest.approx(growth(sp, 2), abs=1e-12)
-    zero = SignFamily(SignKind.GENERIC, 2, 4, values={m: 0.0 for m in level_masks(4, 2)})
+    zero = SignFamily(SignKind.GENERIC, 2, 4, values={m: 0.0 for m in _masks_of_level(4, 2)})
     assert signed_growth(sp, zero) == 0.0
 
 
@@ -144,7 +154,7 @@ def test_signed_growth_bounded_by_growth():
     rng = np.random.default_rng(10)
     for _ in range(20):
         sp = spectrum_from_table(rng.random(64))
-        values = {m: float(rng.uniform(-1, 1)) for m in level_masks(6, 3)}
+        values = {m: float(rng.uniform(-1, 1)) for m in _masks_of_level(6, 3)}
         fam = SignFamily(SignKind.GENERIC, 3, 6, values=values)
         assert abs(signed_growth(sp, fam)) <= growth(sp, 3) + 1e-12
 
@@ -153,19 +163,19 @@ def test_alpha_gamma_block_structure():
     gamma = np.ones(12)
     fam = SignFamily(SignKind.ALPHA_GAMMA, 3, 12, gamma=gamma)
     # entirely inside the first block -> 0
-    assert alpha_gamma(fam, 0b111) == 0.0
+    assert _sign(fam, 0b111) == 0.0
     # first element of each block, all-ones gamma -> +1
     first = (1 << 0) | (1 << 4) | (1 << 8)
-    assert alpha_gamma(fam, first) == 1.0
+    assert _sign(fam, first) == 1.0
     # a zero gamma coordinate used by the subset -> 0
     gamma2 = np.ones(12)
     gamma2[4] = 0.0
     fam2 = SignFamily(SignKind.ALPHA_GAMMA, 3, 12, gamma=gamma2)
-    assert alpha_gamma(fam2, first) == 0.0
+    assert _sign(fam2, first) == 0.0
     # sign equals the product of the two block-local Hadamard signs
     mask = (1 << 2) | (1 << (4 + 3)) | (1 << (8 + 1))
     want = (-1.0) ** (f2_inner(3, 2) ^ f2_inner(3, 1))
-    assert alpha_gamma(fam, mask) == want
+    assert _sign(fam, mask) == want
 
 
 def test_beta_gamma_canonicalization():
@@ -174,17 +184,48 @@ def test_beta_gamma_canonicalization():
     fam_b = SignFamily(SignKind.BETA_GAMMA, 6, 12, gamma=gamma)
     # three elements in one block -> 0
     mask = 0b1111 | (1 << 4) | (1 << 8)
-    assert beta_gamma(fam_b, mask) == 0.0
+    assert _sign(fam_b, mask) == 0.0
     # all-zero gamma -> 0
     zero = SignFamily(SignKind.BETA_GAMMA, 6, 12, gamma=np.zeros(12))
     valid = (0b11) | (0b11 << 4) | (0b11 << 8)
-    assert beta_gamma(zero, valid) == 0.0
+    assert _sign(zero, valid) == 0.0
     # valid subset with all-ones gamma: a product of Hadamard signs, in {-1, +1}
-    got = beta_gamma(fam_b, valid)
+    got = _sign(fam_b, valid)
     assert got in (-1.0, 1.0)
     a_small = (1 << 0) | (1 << 4) | (1 << 8)
     a_large = (1 << 1) | (1 << 5) | (1 << 9)
-    assert got == alpha_gamma(fam_a, a_small) * alpha_gamma(fam_a, a_large)
+    assert got == _sign(fam_a, a_small) * _sign(fam_a, a_large)
+
+
+def _alpha_loop(gamma, a, b, c):
+    block = gamma.size // 3
+    sign = -1.0 if f2_inner(b, a) ^ f2_inner(b, c) else 1.0
+    return sign * gamma[a] * gamma[block + b] * gamma[2 * block + c]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_structured_signs_match_per_subset_loop(block, seed):
+    # block sizes that are not powers of two take the same block-local signs
+    rng = np.random.default_rng(seed)
+    n = 3 * block
+    gamma = rng.uniform(-1, 1, n)
+    sp = FourierSpectrum(n, rng.standard_normal(1 << n))
+    alpha_want = 0.0
+    for a, b, c in np.ndindex(block, block, block):
+        mask = (1 << a) | (1 << (block + b)) | (1 << (2 * block + c))
+        alpha_want += _alpha_loop(gamma, a, b, c) * sp.coeffs[mask]
+    beta_want = 0.0
+    pairs = [(i, j) for i in range(block) for j in range(i + 1, block)]
+    for (a1, a2), (b1, b2), (c1, c2) in product(pairs, repeat=3):
+        mask = ((1 << a1) | (1 << a2) | (1 << (block + b1)) | (1 << (block + b2))
+                | (1 << (2 * block + c1)) | (1 << (2 * block + c2)))
+        weight = _alpha_loop(gamma, a1, b1, c1) * _alpha_loop(gamma, a2, b2, c2)
+        beta_want += weight * sp.coeffs[mask]
+    alpha = SignFamily(SignKind.ALPHA_GAMMA, 3, n, gamma=gamma)
+    beta = SignFamily(SignKind.BETA_GAMMA, 6, n, gamma=gamma)
+    assert signed_growth(sp, alpha) == pytest.approx(alpha_want, abs=1e-12)
+    assert signed_growth(sp, beta) == pytest.approx(beta_want, abs=1e-12)
 
 
 def test_sign_family_validation():
@@ -196,8 +237,14 @@ def test_sign_family_validation():
         SignFamily(SignKind.BETA_GAMMA, 6, 12, gamma=2 * np.ones(12))
     with pytest.raises(ValidationError):
         SignFamily(SignKind.GENERIC, 2, 4, values={0b11: 1.5})
+    with pytest.raises(ValidationError):
+        SignFamily(SignKind.GENERIC, 2, 4, values={0b11: float("nan")})
+    with pytest.raises(ValidationError):
+        SignFamily(SignKind.ALPHA_GAMMA, 3, 3, gamma=np.array([np.nan, 1.0, 1.0]))
     with pytest.raises(SpecificationError):
         SignFamily(SignKind.GENERIC, 2, 4, values={0b111: 0.5})
+    with pytest.raises(SpecificationError):
+        SignFamily(SignKind.GENERIC, 2, 4, values={0b10001: 0.5})   # outside 4 variables
     sp = _table_spectrum(lambda x: x[0], 3)
     with pytest.raises(SpecificationError):
         signed_growth(sp, SignFamily(SignKind.GENERIC, 1, 4, values={1: 1.0}))
@@ -383,6 +430,27 @@ def test_hbqp_alpha_signed_growth_matches_signed_growth():
     want = signed_growth(full, fam)
     got = hbqp_alpha_signed_growth(spec, rho, gamma)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+def test_hbqp_alpha_signed_growth_block_of_three():
+    # N = 9: blocks of 3, not a power of two
+    rng = np.random.default_rng(52)
+    spec = random_spec(Model.HALF_BQP, IndexSpace(9, 1, 1), 2, rng)
+    rho = Restriction(np.array([0, 0, -1, 0, 0, 0, 1, 0, 0], dtype=np.int8))
+    gamma = rng.uniform(-1, 1, 9)
+    fam = SignFamily(SignKind.ALPHA_GAMMA, 3, 9, gamma=gamma)
+    full = embed_spectrum(spectrum_of_algorithm(spec, rho), rho)
+    want = signed_growth(full, fam)
+    assert hbqp_alpha_signed_growth(spec, rho, gamma) == pytest.approx(want, abs=1e-9)
+
+
+def test_hbqp_alpha_signed_growth_validates_gamma():
+    spec = random_spec(Model.HALF_BQP, IndexSpace(6, 1, 1), 2, np.random.default_rng(53))
+    rho = Restriction.all_free(6)
+    with pytest.raises(ValidationError):
+        hbqp_alpha_signed_growth(spec, rho, np.full(6, 1.5))
+    with pytest.raises(ShapeError):
+        hbqp_alpha_signed_growth(spec, rho, np.ones(5))
 
 
 def test_spectrum_exports(tmp_path):
