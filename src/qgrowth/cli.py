@@ -26,6 +26,7 @@ from .models import (
     Model,
     Restriction,
     bias,
+    check_table_size,
     hybrid_truth_table,
     load_spec,
     random_hybrid,
@@ -113,6 +114,13 @@ def cmd_growth(args) -> int:
         args.k = 0
     space = IndexSpace.qubits(args.n, args.w, args.k)
     levels = _parse_levels(args.levels)
+    if model is Model.DQCK:
+        ceilings = {level: bounds.dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
+                    for level in levels}
+    else:
+        ceilings = {level: bounds.bqp_growth_ceiling(space.oracle_dim, args.d, level)
+                    for level in levels}
+    check_table_size(space.oracle_dim)
     rng = np.random.default_rng(args.seed)
     observed = {level: 0.0 for level in levels}
     for _ in range(args.trials):
@@ -127,18 +135,14 @@ def cmd_growth(args) -> int:
     rows = []
     all_pass = True
     for level in levels:
-        if model is Model.DQCK:
-            ceiling = bounds.dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
-        else:
-            ceiling = bounds.bqp_growth_ceiling(space.oracle_dim, args.d, level)
-        ok = leq_tol(observed[level], ceiling)
+        ok = leq_tol(observed[level], ceilings[level])
         all_pass &= ok
         rows.append(
             (args.model, args.n, args.w, args.k, args.d, level, args.trials,
-             observed[level], ceiling, "pass" if ok else "VIOLATION")
+             observed[level], ceilings[level], "pass" if ok else "VIOLATION")
         )
     config = _config_of(args, ["model", "n", "w", "k", "d", "levels", "trials",
-                               "seed", "restriction", "workers"])
+                               "seed", "restriction"])
     header = ["model", "n", "w", "k", "d", "level", "trials", "observed_max", "ceiling", "status"]
     payload = {
         "config": config,
@@ -146,6 +150,12 @@ def cmd_growth(args) -> int:
         "pass": all_pass,
     }
     _emit(args.out, config, header, rows, payload, args.format)
+    if args.restriction is None:
+        # x -> -x multiplies every state by (-1)^d, so f(-x) = f(x)
+        for level in levels:
+            if level % 2:
+                print(f"note: level {level} is exactly 0 without --restriction",
+                      file=sys.stderr)
     return 0 if all_pass else _VIOLATION_EXIT
 
 
@@ -199,7 +209,7 @@ def cmd_tightness(args) -> int:
     magnitude_ok = bool(np.all(np.abs(np.abs(sp.coeffs[nonzero]) - magnitude) <= 1e-9))
     growth_ok = abs(got_growth - expected_growth) <= 1e-9
     payload = {
-        "config": _config_of(args, ["n", "d", "seed", "workers"]),
+        "config": _config_of(args, ["n", "d", "seed"]),
         "level": d,
         "growth": got_growth,
         "expected_growth": expected_growth,
@@ -234,6 +244,7 @@ def cmd_spectrum(args) -> int:
 def cmd_reduce(args) -> int:
     rng = np.random.default_rng(args.seed)
     space = IndexSpace.qubits(args.n, args.w, args.k)
+    check_table_size(space.oracle_dim)
     spec = random_spec(Model.DQCK, space, args.d, rng)
     reduced = reduce_clean_qubits(spec, args.t)
     scale = 2.0 ** (-(args.t + 1))
@@ -265,6 +276,9 @@ def cmd_reduce(args) -> int:
 def cmd_hybrid_growth(args) -> int:
     space = IndexSpace.qubits(args.n, args.w, args.k)
     levels = _parse_levels(args.levels)
+    ceilings = {level: bounds.hybrid_dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
+                for level in levels}
+    check_table_size(space.oracle_dim)
     rng = np.random.default_rng(args.seed)
     rows = []
     all_pass = True
@@ -274,11 +288,10 @@ def cmd_hybrid_growth(args) -> int:
         sp = fourier.spectrum_from_table(hybrid_truth_table(hybrid, workers=args.workers))
         for level in levels:
             got = _finite(fourier.growth(sp, level), f"level-{level} growth")
-            ceiling = bounds.hybrid_dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
-            ok = leq_tol(got, ceiling)
+            ok = leq_tol(got, ceilings[level])
             all_pass &= ok
-            rows.append((trial, depth, level, got, ceiling, "pass" if ok else "VIOLATION"))
-    config = _config_of(args, ["n", "w", "k", "d", "levels", "trials", "seed", "workers"])
+            rows.append((trial, depth, level, got, ceilings[level], "pass" if ok else "VIOLATION"))
+    config = _config_of(args, ["n", "w", "k", "d", "levels", "trials", "seed"])
     header = ["trial", "depth", "level", "observed", "ceiling", "status"]
     payload = {"config": config, "rows": [dict(zip(header, r)) for r in rows], "pass": all_pass}
     _emit(args.out, config, header, rows, payload, args.format)

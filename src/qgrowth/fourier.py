@@ -360,10 +360,16 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     2-query HALF_BQP algorithm over 3B input bits, as a (B, B, B) tensor of
     block-local indices.
 
-    Works at sizes where the full truth table is far out of reach: each
-    coefficient is a sum over index tuples in which three of the four phase
-    slots carry a, b, c and the remaining slot carries a fixed coordinate, so
-    everything reduces to chains of matrix products.
+    Works at sizes where the full truth table is far out of reach.  The
+    acceptance sums index tuples that carry x at four phase slots: the rows
+    of V2, V3, V5 and V6 of :func:`formula_matrices`.  Their phases multiply
+    to x_a x_b x_c, for distinct free a, b, c, only when three slots carry
+    the letters and the fourth carries a fixed coordinate j, weighted rho_j.
+    So each fixed slot is one contraction that keeps the other three slots'
+    oracle indices in slot order, with the fixed slot's rows weighted rho_j
+    at fixed coordinates and zeroed at free ones.  The sum over fixed slots
+    is added over the six orders of its axes, since a coefficient does not
+    depend on which slot holds which letter.
     """
     if spec.model is not Model.HALF_BQP:
         raise SpecificationError("level-3 block tensor applies to HALF_BQP algorithms")
@@ -374,53 +380,23 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
         raise SpecificationError("three-block structure needs input length divisible by 3")
     if len(rho) != n:
         raise ShapeError("restriction length mismatch")
-    block = n // 3
     m = spec.space.total_dim
-    w = spec.space.work_dim
-
-    wk = w * spec.space.clean_dim
-    damp = np.repeat(np.where(rho.pattern == 0, 1.0, rho.pattern.astype(float)), wk)
-    vs = formula_matrices(spec)
-    vs = [mat if t in (0, 3) else damp[:, None] * mat for t, mat in enumerate(vs)]
-    fixed_sel = np.repeat((rho.pattern != 0).astype(float), wk)
-    f_weight = spec.accept.astype(float)
-
-    # junction labels: I_1 = x, I_4 = y; letter junctions get (letter, work) pairs
-    slots = (2, 3, 5, 6)
+    wk = m // n
+    fixed = np.repeat(rho.pattern.astype(float), wk)[:, None]  # rho_j on fixed rows, 0 on free
+    accept = spec.accept.astype(float)
+    shapes = ((m, n, wk), (n, wk, n, wk), (n, wk, m)) * 2
     out = np.zeros((n, n, n))
-    for perm3 in permutations(range(4), 3):
-        assignment = {}
-        letters = "abc"
-        for letter_pos, slot_pos in enumerate(perm3):
-            assignment[slots[slot_pos]] = letters[letter_pos]
-        fix_slot = next(s for s in slots if s not in assignment)
-        labels = {1: "x", 4: "y"}
-        work_chars = iter("uvs")
-        for slot in slots:
-            labels[slot] = assignment[slot] + next(work_chars) if slot in assignment else "z"
-        tensors = []
-        subs = []
-        for t in range(1, 7):
-            mat = vs[t - 1]
-            if t == fix_slot:
-                mat = fixed_sel[:, None] * mat
-            row_lab = labels[t]
-            col_lab = labels[t + 1] if t < 6 else labels[1]
-            shape = []
-            shape += [n, w * spec.space.clean_dim] if len(row_lab) == 2 else [m]
-            shape += [n, w * spec.space.clean_dim] if len(col_lab) == 2 else [m]
-            tensors.append(mat.reshape(shape))
-            subs.append(row_lab + col_lab)
-        expr = "xy," + ",".join(subs) + "->abc"
-        out = out + np.real(np.einsum(expr, f_weight, *tensors, optimize=True)) / m
-
-    free = rho.pattern == 0
-    blocks = [slice(0, block), slice(block, 2 * block), slice(2 * block, 3 * block)]
-    tensor = out[blocks[0], blocks[1], blocks[2]].copy()
-    tensor *= free[blocks[0]][:, None, None]
-    tensor *= free[blocks[1]][None, :, None]
-    tensor *= free[blocks[2]][None, None, :]
-    return tensor
+    for row, kept in ((1, "QRT"), (2, "PRT"), (4, "PQT"), (5, "PQR")):
+        mats = [fixed * mat if t == row else mat for t, mat in enumerate(formula_matrices(spec))]
+        operands = [mat.reshape(shape) for mat, shape in zip(mats, shapes)]
+        # numpy caps intermediates at the largest operand by default, which at
+        # W > 1 forces a 6-way loop; three letters and a work pair fit n^3 W^2
+        out += np.einsum("xy,xPU,PUQV,QVy,yRS,RSTW,TWx->" + kept, accept, *operands,
+                         optimize=("greedy", n**3 * wk**2)).real
+    out = sum(out.transpose(order) for order in permutations(range(3))) / m
+    free = (rho.pattern == 0).reshape(3, -1)
+    tensor = out.reshape(3, n // 3, 3, n // 3, 3, n // 3)[0, :, 1, :, 2]
+    return tensor * free[0][:, None, None] * free[1][:, None] * free[2]
 
 
 def hbqp_alpha_signed_growth(

@@ -324,6 +324,15 @@ def _table_chunk(spec: AlgorithmSpec, x: np.ndarray) -> np.ndarray:
     return accepted / starts.size
 
 
+def check_table_size(coords: int) -> None:
+    """Refuse a truth table over ``coords`` coordinates above the 2^MAX_QUBITS cap."""
+    if coords > MAX_QUBITS:
+        raise ResourceLimitError(
+            f"truth table over {coords} coordinates needs 2^{coords} entries, "
+            f"above the 2^{MAX_QUBITS} cap"
+        )
+
+
 def truth_table(
     spec: AlgorithmSpec,
     rho: Optional[Restriction] = None,
@@ -343,12 +352,8 @@ def truth_table(
         rho = Restriction.all_free(n)
     if len(rho) != n:
         raise ShapeError(f"restriction length {len(rho)} != input length {n}")
-    free = rho.free_indices
-    if free.size > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"truth table over {free.size} free coordinates exceeds the 2^{MAX_QUBITS} cap"
-        )
-    size = 1 << free.size
+    check_table_size(rho.free_indices.size)
+    size = 1 << rho.free_indices.size
     chunk = max(256, 4096 // spec.start_indices().size) if chunk is None else chunk
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
@@ -514,8 +519,7 @@ def hybrid_truth_table(hybrid: HybridSpec, workers: int = 1) -> np.ndarray:
     on the inputs that path selects, so every input is simulated once.
     """
     n = hybrid.space.oracle_dim
-    if n > MAX_QUBITS:
-        raise ResourceLimitError(f"truth table over {n} coordinates exceeds cap")
+    check_table_size(n)
     out = np.empty(1 << n, dtype=float)
     for key, path in hybrid.leaf_paths():
         pattern = np.zeros(n, dtype=np.int8)

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgrowth import fourier
+from qgrowth import cli, fourier, models
 from qgrowth.cli import main
 from qgrowth.linalg import hadamard_matrix
 from qgrowth.models import Model, spec_to_json, AlgorithmSpec
@@ -196,6 +196,81 @@ def test_empty_level_list_is_a_usage_error(command, levels, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "--levels" in err
     assert not out.exists()
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Record (and refuse) every random algorithm or gate the CLI draws."""
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("drew a random algorithm")
+
+    for module, name in ((cli, "random_spec"), (cli, "random_hybrid"),
+                         (models, "random_unitary")):
+        monkeypatch.setattr(module, name, refuse)
+    return calls
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["growth", "--model", "dqck", "--levels", "1", "--trials", "3"], "levels >= 2"),
+    (["growth", "--model", "bqp", "--levels", "0,2"], "levels >= 1"),
+    (["hybrid-growth", "--levels", "1"], "levels >= 2"),
+    (["growth", "--model", "bqp", "--n", "10", "--w", "1", "--trials", "1"], "2^1024 entries"),
+    (["hybrid-growth", "--n", "9"], "2^512 entries"),
+    (["reduce", "--n", "5", "--k", "2"], "2^32 entries"),
+], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
+        "hybrid-cap", "reduce-cap"])
+def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
+    out = tmp_path / "rows.csv"
+    assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert words in err
+    assert no_draws == []
+    assert not out.exists()
+
+
+def test_growth_notes_vacuous_odd_levels(tmp_path, capsys):
+    # f(-x) = f(x) for every model, so unrestricted odd levels are exactly 0
+    argv = ["growth", "--model", "bqp", "--n", "2", "--d", "1", "--levels", "1,2,3",
+            "--trials", "2", "--seed", "4", "--workers", "1"]
+    bare, restricted = tmp_path / "bare.csv", tmp_path / "restricted.csv"
+    assert main(argv + ["--out", str(bare)]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "note: level 1 is exactly 0 without --restriction",
+        "note: level 3 is exactly 0 without --restriction",
+    ]
+    observed = [float(line.split(",")[7]) for line in bare.read_text().splitlines()[2:]]
+    assert observed[0] <= 1e-12 and observed[2] <= 1e-12
+    assert main(argv + ["--restriction", "*+**", "--out", str(restricted)]) == 0
+    assert capsys.readouterr().err == ""
+
+
+def _halfbqp_spec_file(path) -> str:
+    rng = np.random.default_rng(8)
+    doc = {"model": "HALF_BQP", "n": 4, "d": 2,
+           "unitaries": [{"kind": "haar", "seed": seed} for seed in (1, 2, 3)],
+           "accept": (rng.random((16, 16)) < 0.5).astype(int).tolist()}
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    ["growth", "--model", "dqck", "--n", "4", "--k", "1", "--d", "2", "--trials", "1",
+     "--restriction", "random:0.5", "--seed", "3"],
+    ["tightness", "--n", "2", "--d", "3"],
+    ["spectrum", "--spec", None],
+    ["hybrid-growth", "--n", "4", "--k", "1", "--d", "2", "--trials", "1", "--seed", "6"],
+], ids=["growth", "tightness", "spectrum", "hybrid-growth"])
+def test_output_does_not_depend_on_worker_count(argv, tmp_path, capsys):
+    argv = [_halfbqp_spec_file(tmp_path / "spec.json") if a is None else a for a in argv]
+    outs = []
+    for workers in ("1", "2"):
+        outs.append(tmp_path / f"out{workers}")
+        assert main(argv + ["--workers", workers, "--out", str(outs[-1])]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan"])

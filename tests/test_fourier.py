@@ -419,6 +419,42 @@ def test_hbqp_block_tensor_matches_transform():
     assert worst <= 1e-9
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    block=st.integers(1, 4),
+    w=st.integers(1, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hbqp_block_tensor_matches_embedded_transform(data, block, w, seed):
+    n = 3 * block
+    text = data.draw(st.one_of(st.just("*" * n), st.text("+-*", min_size=n, max_size=n)))
+    rho = Restriction.from_string(text)
+    spec = random_spec(Model.HALF_BQP, IndexSpace(n, w, 1), 2, np.random.default_rng(seed))
+    tensor = hbqp_level3_block_tensor(spec, rho)
+    full = embed_spectrum(spectrum_of_algorithm(spec, rho), rho).coeffs
+    bits = (1 << np.arange(n)).reshape(3, block)
+    masks = bits[0][:, None, None] | bits[1][:, None] | bits[2]
+    assert tensor.shape == (block, block, block)
+    assert np.max(np.abs(tensor - full[masks])) <= 1e-9
+
+
+def test_hbqp_block_tensor_validation():
+    rng = np.random.default_rng(53)
+    space = IndexSpace(6, 1, 1)
+    free = Restriction.all_free(6)
+    with pytest.raises(SpecificationError, match="HALF_BQP"):
+        hbqp_level3_block_tensor(random_spec(Model.BQP, space, 2, rng), free)
+    with pytest.raises(SpecificationError, match="d = 2"):
+        hbqp_level3_block_tensor(random_spec(Model.HALF_BQP, space, 3, rng), free)
+    with pytest.raises(SpecificationError, match="divisible by 3"):
+        hbqp_level3_block_tensor(random_spec(Model.HALF_BQP, IndexSpace(4, 1, 1), 2, rng),
+                                 Restriction.all_free(4))
+    with pytest.raises(ShapeError, match="restriction length"):
+        hbqp_level3_block_tensor(random_spec(Model.HALF_BQP, space, 2, rng),
+                                 Restriction.all_free(5))
+
+
 def test_hbqp_alpha_signed_growth_matches_signed_growth():
     rng = np.random.default_rng(51)
     space = IndexSpace(12, 1, 1)
