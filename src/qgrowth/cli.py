@@ -3,7 +3,9 @@
 Commands: growth, verify-decomposition, forrelation, tightness, spectrum,
 reduce, hybrid-growth.  Every run is deterministic per seed, every emitted
 table row carries the certified growth ceiling next to the observation, and every
-artifact echoes its configuration.
+artifact echoes its configuration: every option except --out, --format and
+--workers, which cannot change a result.  --restriction is checked before any
+gate is drawn.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error.
@@ -38,38 +40,38 @@ from .models import (
 _USAGE_EXIT = 2
 _VIOLATION_EXIT = 1
 
+#: Parsed options left out of the echoed config, since none can change a
+#: result: ``command`` and ``func`` name the command the output comes from,
+#: and ``out``, ``format`` and ``workers`` choose where and how it is written.
+_NOT_ECHOED = frozenset({"command", "func", "out", "format", "workers"})
+
 
 def _fmt(value: float) -> str:
     return f"{value:.17g}"
 
 
-def _write_rows(path, config: dict, header, rows) -> None:
-    lines = ["# " + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
+def _report(args, payload: dict, header=None, rows=None) -> int:
+    """Write a run's output to ``--out`` (default stdout); exit 1 if ``payload["pass"]`` is false.
+
+    The echoed config is every parsed option that is not None, minus ``_NOT_ECHOED``.
+    With ``rows`` and ``--format csv`` it writes ``# <config>``, the header and
+    the rows, else ``{"config": config, **payload}`` as sorted JSON.
+    """
+    config = {key: value for key, value in vars(args).items()
+              if value is not None and key not in _NOT_ECHOED}
+    if rows is not None and args.format == "csv":
+        lines = ["# " + json.dumps(config, sort_keys=True), ",".join(header)]
+        lines += [",".join(_fmt(v) if isinstance(v, float) else str(v) for v in row)
+                  for row in rows]
+        text = "\n".join(lines) + "\n"
+    else:
+        text = json.dumps({"config": config, **payload}, sort_keys=True, indent=2) + "\n"
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _write_json(path, payload: dict) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _emit(path, config, header, rows, payload, fmt: str) -> None:
-    if fmt == "json":
-        _write_json(path, payload)
-    else:
-        _write_rows(path, config, header, rows)
+    return 0 if payload.get("pass", True) else _VIOLATION_EXIT
 
 
 def _parse_levels(text: str):
@@ -79,15 +81,19 @@ def _parse_levels(text: str):
     return levels
 
 
-def _restriction_for(option, n, rng):
+def _restrictions(option, n):
+    """Check ``--restriction`` for n inputs before any gate is drawn; return its per-trial draw."""
     if option is None:
-        return Restriction.all_free(n)
+        return lambda rng: Restriction.all_free(n)
     if option.startswith("random:"):
         fixed_prob = float(option.split(":", 1)[1])
         if not 0.0 <= fixed_prob <= 1.0:
             raise ParameterError(f"random:p needs 0 <= p <= 1, got {fixed_prob}")
-        return random_restriction(n, rng, star_prob=1.0 - fixed_prob)
-    return Restriction.from_string(option)
+        return lambda rng: random_restriction(n, rng, star_prob=1.0 - fixed_prob)
+    rho = Restriction.from_string(option)
+    if len(rho) != n:
+        raise ParameterError(f"--restriction has length {len(rho)}, needs one per input ({n})")
+    return lambda rng: rho
 
 
 def _finite(value: float, what: str) -> float:
@@ -95,10 +101,6 @@ def _finite(value: float, what: str) -> float:
     if not np.isfinite(value):
         raise ValidationError(f"{what} is not finite: {value}")
     return value
-
-
-def _config_of(args, keys) -> dict:
-    return {key: getattr(args, key) for key in keys if getattr(args, key, None) is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -121,63 +123,44 @@ def cmd_growth(args) -> int:
         ceilings = {level: bounds.bqp_growth_ceiling(space.oracle_dim, args.d, level)
                     for level in levels}
     check_table_size(space.oracle_dim)
+    draw_restriction = _restrictions(args.restriction, space.oracle_dim)
     rng = np.random.default_rng(args.seed)
     observed = {level: 0.0 for level in levels}
     for _ in range(args.trials):
         spec = random_spec(model, space, args.d, rng)
-        rho = _restriction_for(args.restriction, space.oracle_dim, rng)
+        rho = draw_restriction(rng)
         base = fourier.spectrum_of_algorithm(spec, workers=args.workers)
         sp = fourier.restrict_spectrum(base, rho)
         for level in levels:
             got = _finite(fourier.growth(sp, level), f"level-{level} growth")
             observed[level] = max(observed[level], got)
 
-    rows = []
-    all_pass = True
-    for level in levels:
-        ok = leq_tol(observed[level], ceilings[level])
-        all_pass &= ok
-        rows.append(
-            (args.model, args.n, args.w, args.k, args.d, level, args.trials,
-             observed[level], ceilings[level], "pass" if ok else "VIOLATION")
-        )
-    config = _config_of(args, ["model", "n", "w", "k", "d", "levels", "trials",
-                               "seed", "restriction"])
     header = ["model", "n", "w", "k", "d", "level", "trials", "observed_max", "ceiling", "status"]
-    payload = {
-        "config": config,
-        "rows": [dict(zip(header, row)) for row in rows],
-        "pass": all_pass,
-    }
-    _emit(args.out, config, header, rows, payload, args.format)
+    rows = [(args.model, args.n, args.w, args.k, args.d, level, args.trials, observed[level],
+             ceilings[level], "pass" if leq_tol(observed[level], ceilings[level]) else "VIOLATION")
+            for level in levels]
+    code = _report(args, {"rows": [dict(zip(header, row)) for row in rows],
+                          "pass": all(row[-1] == "pass" for row in rows)}, header, rows)
     if args.restriction is None:
         # x -> -x multiplies every state by (-1)^d, so f(-x) = f(x)
         for level in levels:
             if level % 2:
                 print(f"note: level {level} is exactly 0 without --restriction",
                       file=sys.stderr)
-    return 0 if all_pass else _VIOLATION_EXIT
+    return code
 
 
 def cmd_verify_decomposition(args) -> int:
     rng = np.random.default_rng(args.seed)
-    reports = []
-    all_pass = True
-    for trial in range(args.trials):
-        spec = random_decomposition_spec(rng)
-        report = verify(spec)
-        report["trial"] = trial
-        reports.append(report)
-        all_pass &= report["pass"]
-    config = _config_of(args, ["trials", "seed"])
-    payload = {"config": config, "reports": reports, "pass": all_pass}
-    _write_json(args.out, payload)
-    return 0 if all_pass else _VIOLATION_EXIT
+    reports = [{**verify(random_decomposition_spec(rng)), "trial": trial}
+               for trial in range(args.trials)]
+    return _report(args, {"reports": reports, "pass": all(r["pass"] for r in reports)})
 
 
 def cmd_forrelation(args) -> int:
     rng = np.random.default_rng(args.seed)
-    eps = args.eps if args.eps is not None else forrelation.default_eps(args.k, 1 << args.n)
+    if args.eps is None:
+        args.eps = forrelation.default_eps(args.k, 1 << args.n)
     rows = []
     ok = True
     for trial in range(args.trials):
@@ -186,13 +169,10 @@ def cmd_forrelation(args) -> int:
         inst = maker(args.k, args.n, rng)
         value = forrelation.forr(inst)
         ok &= abs(value) <= 1.0 + 1e-12
-        rows.append((trial, kind, value, forrelation.classify(inst, eps).name))
-    config = _config_of(args, ["k", "n", "trials", "seed"])
-    config["eps"] = eps
+        rows.append((trial, kind, value, forrelation.classify(inst, args.eps).name))
     header = ["id", "kind", "forr_value", "label"]
-    payload = {"config": config, "rows": [dict(zip(header, r)) for r in rows], "pass": ok}
-    _emit(args.out, config, header, rows, payload, args.format)
-    return 0 if ok else _VIOLATION_EXIT
+    return _report(args, {"rows": [dict(zip(header, r)) for r in rows], "pass": ok},
+                   header, rows)
 
 
 def cmd_tightness(args) -> int:
@@ -208,20 +188,19 @@ def cmd_tightness(args) -> int:
     count_ok = nonzero.size == size**d
     magnitude_ok = bool(np.all(np.abs(np.abs(sp.coeffs[nonzero]) - magnitude) <= 1e-9))
     growth_ok = abs(got_growth - expected_growth) <= 1e-9
-    payload = {
-        "config": _config_of(args, ["n", "d", "seed"]),
+    passed = bool(growth_ok and count_ok and magnitude_ok)
+    code = _report(args, {
         "level": d,
         "growth": got_growth,
         "expected_growth": expected_growth,
         "nonzero_coefficients": int(nonzero.size),
         "expected_nonzero": size**d,
         "coefficient_magnitude": magnitude,
-        "pass": bool(growth_ok and count_ok and magnitude_ok),
-    }
-    _write_json(args.out, payload)
+        "pass": passed,
+    })
     print(f"tightness n={args.n} d={args.d}: growth {got_growth:.12g} "
-          f"(expected {expected_growth:.12g}) -> {'PASS' if payload['pass'] else 'FAIL'}")
-    return 0 if payload["pass"] else _VIOLATION_EXIT
+          f"(expected {expected_growth:.12g}) -> {'PASS' if passed else 'FAIL'}")
+    return code
 
 
 def cmd_spectrum(args) -> int:
@@ -229,16 +208,12 @@ def cmd_spectrum(args) -> int:
         print("spectrum: --spec is required", file=sys.stderr)
         return _USAGE_EXIT
     spec, rho = load_spec(args.spec)
-    rng = np.random.default_rng(args.seed)
     if args.restriction:
-        rho = _restriction_for(args.restriction, spec.num_inputs, rng)
+        rho = _restrictions(args.restriction, spec.num_inputs)(np.random.default_rng(args.seed))
     sp = fourier.spectrum_of_algorithm(spec, rho, workers=args.workers)
-    config = _config_of(args, ["spec", "restriction", "seed"])
-    rows = [(mask, float(c)) for mask, c in enumerate(sp.coeffs)]
-    payload = {"config": config, "num_vars": sp.num_vars,
-               "coeffs": [float(c) for c in sp.coeffs]}
-    _emit(args.out, config, ["mask", "coefficient"], rows, payload, args.format)
-    return 0
+    coeffs = sp.coeffs.tolist()
+    return _report(args, {"num_vars": sp.num_vars, "coeffs": coeffs},
+                   ["mask", "coefficient"], list(enumerate(coeffs)))
 
 
 def cmd_reduce(args) -> int:
@@ -260,17 +235,15 @@ def cmd_reduce(args) -> int:
         if abs(before) > 1e-6:
             ratios.append(after / before)
     ok = worst <= 1e-9
-    payload = {
-        "config": _config_of(args, ["n", "w", "k", "d", "t", "seed"]),
+    code = _report(args, {
         "expected_ratio": scale,
         "median_observed_ratio": float(np.median(ratios)) if ratios else float("nan"),
         "max_pointwise_deviation": worst,
         "pass": ok,
-    }
-    _write_json(args.out, payload)
+    })
     print(f"reduce t={args.t}: pointwise bias ratio {scale} "
           f"(max deviation {worst:.3g}) -> {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else _VIOLATION_EXIT
+    return code
 
 
 def cmd_hybrid_growth(args) -> int:
@@ -281,7 +254,6 @@ def cmd_hybrid_growth(args) -> int:
     check_table_size(space.oracle_dim)
     rng = np.random.default_rng(args.seed)
     rows = []
-    all_pass = True
     for trial in range(args.trials):
         depth = int(rng.integers(1, min(args.d, space.oracle_dim) + 1))
         hybrid = random_hybrid(Model.DQCK, space, args.d, rng, depth=depth)
@@ -289,13 +261,10 @@ def cmd_hybrid_growth(args) -> int:
         for level in levels:
             got = _finite(fourier.growth(sp, level), f"level-{level} growth")
             ok = leq_tol(got, ceilings[level])
-            all_pass &= ok
             rows.append((trial, depth, level, got, ceilings[level], "pass" if ok else "VIOLATION"))
-    config = _config_of(args, ["n", "w", "k", "d", "levels", "trials", "seed"])
     header = ["trial", "depth", "level", "observed", "ceiling", "status"]
-    payload = {"config": config, "rows": [dict(zip(header, r)) for r in rows], "pass": all_pass}
-    _emit(args.out, config, header, rows, payload, args.format)
-    return 0 if all_pass else _VIOLATION_EXIT
+    return _report(args, {"rows": [dict(zip(header, r)) for r in rows],
+                          "pass": all(r[-1] == "pass" for r in rows)}, header, rows)
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,9 @@ AUGMENTED_DIM_GUARD = 65536
 #: Guard for the raw brute-force summation (M^(d-1) paths per entry).
 BRUTE_FORCE_GUARD = 10**7
 
+#: Largest entrywise deviation from brute force that ``verify`` passes.
+ENTRY_TOL = 1e-9
+
 #: Read only by the benchmark's factorizations workload; no code path here uses it.
 _DENSE_SVD_CUTOFF = 2048
 
@@ -337,7 +340,6 @@ def brute_force_entry(
     i_end: int,
     s_end: int,
     b_end=(),
-    s_start: int = 0,
 ) -> complex:
     """Raw summation over the d-1 inner indices with all indicators explicit.
 
@@ -362,7 +364,7 @@ def brute_force_entry(
                 break
         if weight == 0:
             continue
-        mask = s_start
+        mask = 0
         for t in range(2, d + 1):
             mask = parity_update(mask, int(oracle_of[path[t - 1]]), t, spec)
         if mask != s_end:
@@ -380,9 +382,10 @@ def brute_force_entry(
 def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
     """All brute-force values at once, shaped (I_1, I_end, parity, B-digits).
 
-    Entry [i1, ie, s, b] equals ``brute_force_entry(spec, i1, ie, s_end=s1^s,
-    b_end=decode(b)+1, s_start=s1)`` for every s1 (parity enters only through
-    s1 xor s_end).  Memory digits use base N with stored value v-1.
+    Entry [i1, ie, s, b] equals ``brute_force_entry(spec, i1, ie, s_end=s,
+    b_end=decode(b)+1)``: s is the parity a path collects from an empty start,
+    so a start parity s1 ends at s1 xor s.  Memory digits use base N with
+    stored value v-1.
     """
     d = spec.depth
     m = spec.space.total_dim
@@ -424,7 +427,7 @@ def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
 # verification
 
 
-def verify(spec: DecompositionSpec, tol: float = 1e-9) -> dict:
+def verify(spec: DecompositionSpec) -> dict:
     """Construct, compare entrywise against brute force, and check the norms.
 
     Returns a report with the maximum entrywise deviation, the factor
@@ -466,7 +469,7 @@ def verify(spec: DecompositionSpec, tol: float = 1e-9) -> dict:
         "factor_operator_norms": factor_norms,
         "product_frobenius": block_frob,
         "min_input_frobenius": min_input_frob,
-        "entries_pass": bool(max_dev <= tol),
+        "entries_pass": bool(max_dev <= ENTRY_TOL),
         "factor_norm_pass": bool(leq_tol(max(factor_norms), 1.0)),
         "frobenius_pass": bool(leq_tol(block_frob, min_input_frob)),
     }

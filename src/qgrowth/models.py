@@ -226,8 +226,8 @@ class AlgorithmSpec:
         return tuple(mats)
 
 
-def _real(value: complex, what: str, tol: float = IMAG_TOL) -> float:
-    if abs(value.imag) > tol:
+def _real(value: complex, what: str) -> float:
+    if abs(value.imag) > IMAG_TOL:
         raise ValidationError(f"{what} has non-negligible imaginary part {value.imag:g}")
     return float(value.real)
 
@@ -483,10 +483,6 @@ class HybridSpec:
     def d(self) -> int:
         return next(iter(self.leaf_algorithms.values())).d
 
-    @property
-    def depth(self) -> int:
-        return max(len(path) for _, path in self.leaf_paths())
-
     def leaf_paths(self):
         """Yield (leaf key, [(coord, sign), ...]) for every root-to-leaf path."""
         stack = [(self.tree, [])]
@@ -640,10 +636,9 @@ def random_hybrid(
     space: IndexSpace,
     d: int,
     rng: np.random.Generator,
-    depth: Optional[int] = None,
+    depth: int,
 ) -> HybridSpec:
     """Random decision tree of the given depth with random leaf algorithms."""
-    depth = d if depth is None else depth
     if depth < 0 or depth > d:
         raise ParameterError("hybrid tree depth must lie in [0, d]")
     leaves: dict = {}

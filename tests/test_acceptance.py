@@ -62,7 +62,7 @@ def test_criterion_1_decomposition_correctness():
     frob_ok = True
     for _ in range(50):
         spec = random_decomposition_spec(rng)
-        report = verify(spec, tol=1e-9)
+        report = verify(spec)
         worst_dev = max(worst_dev, report["max_entry_deviation"])
         worst_norm = max(worst_norm, report["max_factor_operator_norm"])
         frob_ok &= report["frobenius_pass"]

@@ -220,8 +220,15 @@ def no_draws(monkeypatch):
     (["growth", "--model", "bqp", "--n", "10", "--w", "1", "--trials", "1"], "2^1024 entries"),
     (["hybrid-growth", "--n", "9"], "2^512 entries"),
     (["reduce", "--n", "5", "--k", "2"], "2^32 entries"),
+    (["growth", "--model", "dqck", "--n", "4", "--k", "1", "--w", "2", "--trials", "1",
+      "--restriction", "+*"], "length 2"),
+    (["growth", "--model", "bqp", "--n", "4", "--w", "6", "--d", "2", "--trials", "1",
+      "--restriction", "random:1.7"], "0 <= p <= 1"),
+    (["growth", "--model", "bqp", "--n", "4", "--w", "6", "--d", "2", "--trials", "1",
+      "--restriction", "random:abc"], "'abc'"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
-        "hybrid-cap", "reduce-cap"])
+        "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
+        "restriction-p-text"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
@@ -271,6 +278,35 @@ def test_output_does_not_depend_on_worker_count(argv, tmp_path, capsys):
         outs.append(tmp_path / f"out{workers}")
         assert main(argv + ["--workers", workers, "--out", str(outs[-1])]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.mark.parametrize("argv, config", [
+    ("growth --model dqc1 --n 2 --d 2 --levels 2,3 --trials 20 --restriction random:0.5 --seed 7",
+     '{"d": 2, "k": 1, "levels": "2,3", "model": "dqc1", "n": 2, "restriction": "random:0.5", '
+     '"seed": 7, "trials": 20, "w": 0}'),
+    ("verify-decomposition --trials 10 --seed 3", '{"seed": 3, "trials": 10}'),
+    ("forrelation --k 2 --n 3 --trials 100 --seed 1",
+     '{"eps": 0.1111111111111111, "k": 2, "n": 3, "seed": 1, "trials": 100}'),
+    ("tightness --n 2 --d 3", '{"d": 3, "n": 2, "seed": 0}'),
+    ("spectrum --spec examples.json", '{"seed": 0, "spec": "examples.json"}'),
+    ("reduce --n 2 --k 2 --t 1 --d 2 --seed 5",
+     '{"d": 2, "k": 2, "n": 2, "seed": 5, "t": 1, "w": 0}'),
+    ("hybrid-growth --n 2 --k 1 --d 2 --trials 10",
+     '{"d": 2, "k": 1, "levels": "2,3", "n": 2, "seed": 0, "trials": 10, "w": 0}'),
+], ids=["growth", "verify-decomposition", "forrelation", "tightness", "spectrum", "reduce",
+        "hybrid-growth"])
+def test_readme_commands_echo_their_config(argv, config, tmp_path, monkeypatch, capsys):
+    # every option but --out, --format and --workers, with forrelation's
+    # resolved eps and growth's k after the dqc1 rewrite
+    monkeypatch.chdir(tmp_path)
+    _halfbqp_spec_file(tmp_path / "examples.json")
+    assert main(argv.split() + ["--workers", "1", "--out", "out"]) == 0
+    text = (tmp_path / "out").read_text()
+    if text.startswith("# "):
+        echoed = text.splitlines()[0][2:]
+    else:
+        echoed = json.dumps(json.loads(text)["config"], sort_keys=True)
+    assert echoed == config
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan"])
