@@ -4,8 +4,10 @@ Commands: growth, verify-decomposition, forrelation, tightness, spectrum,
 reduce, hybrid-growth.  Every run is deterministic per seed, every emitted
 table row carries the certified growth ceiling next to the observation, and every
 artifact echoes its configuration: every option except --out, --format and
---workers, which cannot change a result.  --restriction is checked before any
-gate is drawn.
+--workers, which cannot change a result.  --restriction, --d, --k, --t and
+forrelation's --n are checked before any gate or instance is drawn, and
+summary lines and notes go to stderr, so stdout without --out holds only the
+output.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error.
@@ -114,6 +116,8 @@ def cmd_growth(args) -> int:
     model = Model[name]
     if model is not Model.DQCK:
         args.k = 0
+    elif args.k < 1:
+        raise ParameterError(f"DQCK needs at least one clean qubit, got --k {args.k}")
     space = IndexSpace.qubits(args.n, args.w, args.k)
     levels = _parse_levels(args.levels)
     if model is Model.DQCK:
@@ -199,7 +203,8 @@ def cmd_tightness(args) -> int:
         "pass": passed,
     })
     print(f"tightness n={args.n} d={args.d}: growth {got_growth:.12g} "
-          f"(expected {expected_growth:.12g}) -> {'PASS' if passed else 'FAIL'}")
+          f"(expected {expected_growth:.12g}) -> {'PASS' if passed else 'FAIL'}",
+          file=sys.stderr)
     return code
 
 
@@ -217,6 +222,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    if not 1 <= args.t < args.k:
+        raise ParameterError(f"need 1 <= t < k (k={args.k}), got t={args.t}")
     rng = np.random.default_rng(args.seed)
     space = IndexSpace.qubits(args.n, args.w, args.k)
     check_table_size(space.oracle_dim)
@@ -242,11 +249,13 @@ def cmd_reduce(args) -> int:
         "pass": ok,
     })
     print(f"reduce t={args.t}: pointwise bias ratio {scale} "
-          f"(max deviation {worst:.3g}) -> {'PASS' if ok else 'FAIL'}")
+          f"(max deviation {worst:.3g}) -> {'PASS' if ok else 'FAIL'}", file=sys.stderr)
     return code
 
 
 def cmd_hybrid_growth(args) -> int:
+    if args.k < 1:
+        raise ParameterError(f"DQCK needs at least one clean qubit, got --k {args.k}")
     space = IndexSpace.qubits(args.n, args.w, args.k)
     levels = _parse_levels(args.levels)
     ceilings = {level: bounds.hybrid_dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
@@ -353,6 +362,9 @@ def main(argv=None) -> int:
         return _USAGE_EXIT
     if getattr(args, "trials", 1) < 1:
         print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
+        return _USAGE_EXIT
+    if getattr(args, "d", 1) < 1:
+        print(f"error: --d must be >= 1, got {args.d}", file=sys.stderr)
         return _USAGE_EXIT
     try:
         return args.func(args)

@@ -40,7 +40,6 @@ from .errors import (
 )
 from .linalg import (
     IMAG_TOL,
-    NORM_SLACK,
     IndexSpace,
     frobenius_norm,
     leq_tol,
@@ -91,7 +90,7 @@ class DecompositionSpec:
         for idx, mat in enumerate(mats):
             if mat.shape != (m, m):
                 raise ShapeError(f"matrix {idx + 1} has shape {mat.shape}, expected ({m}, {m})")
-            if not leq_tol(operator_norm(mat), 1.0, rel=NORM_SLACK, abs_=NORM_SLACK):
+            if not leq_tol(operator_norm(mat), 1.0):
                 raise ValidationError(f"matrix {idx + 1} has operator norm above 1")
         tracked = self.space.oracle_dim if self.tracked is None else self.tracked
         if not 0 <= tracked <= self.space.oracle_dim:

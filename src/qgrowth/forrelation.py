@@ -3,10 +3,12 @@ single-clean-qubit trace circuits that realize it at desk scale.
 
 ``forr`` evaluates the amplitude <0..0| H O_1 H O_2 ... H O_k H |0..0> two
 independent ways (fast-transform statevector vs dense matrix product).
-``tightness_circuit(n, d)`` is the one constructor of the trace circuits: DQC1
-algorithms over d blocks of N = 2^n live bits whose acceptance probability is
-1/2 + Tr(O_1 H O_2 H ... O_d H) / (2N).  As a family they attain the level-d
-growth ceiling exactly.
+``tightness_circuit(n, d)`` builds the trace circuits: one-clean-qubit (DQC1)
+trace estimators over d blocks of N = 2^n live bits whose acceptance
+probability is 1/2 + Tr(O_1 H O_2 H ... O_d H) / (2N).  As a family they attain
+the level-d growth ceiling exactly.  The oracle is a pure phase, so each
+circuit controls it by doubling the oracle register and fixing the control-off
+half of the input to +1 with its restriction.
 """
 
 from __future__ import annotations
@@ -14,13 +16,21 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
+from scipy.linalg import block_diag
 
 from .errors import ParameterError, ResourceLimitError, ShapeError, ValidationError
 from .fourier import fwht
-from .linalg import MAX_QUBITS, f2_inner, hadamard_matrix
-from .models import CircuitBundle, interference_circuit
+from .linalg import MAX_QUBITS, IndexSpace, f2_inner, hadamard_matrix
+from .models import AlgorithmSpec, Model, Restriction, acceptance_direct
 
 _FORR_MAX_N = 12
+
+
+def _check_size(k: int, n: int) -> None:
+    if k < 1:
+        raise ParameterError(f"fold count k must be >= 1, got {k}")
+    if not 1 <= n <= _FORR_MAX_N:
+        raise ParameterError(f"n must lie in [1, {_FORR_MAX_N}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -32,10 +42,7 @@ class ForrelationInstance:
     blocks: np.ndarray
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ParameterError(f"fold count k must be >= 1, got {self.k}")
-        if not 1 <= self.n <= _FORR_MAX_N:
-            raise ParameterError(f"n must lie in [1, {_FORR_MAX_N}], got {self.n}")
+        _check_size(self.k, self.n)
         blocks = np.asarray(self.blocks, dtype=float)
         if blocks.shape != (self.k, 1 << self.n):
             raise ShapeError(
@@ -99,17 +106,26 @@ def default_eps(k: int, big_n: int) -> float:
 
 
 @dataclass(frozen=True)
-class TraceCircuit(CircuitBundle):
-    """A DQC1 algorithm (with its activating restriction) whose acceptance at
-    the block-major live input ``blocks.reshape(-1)`` is
+class TraceCircuit:
+    """A DQC1 algorithm over 2*d*N input bits and the restriction fixing the
+    lower (control-off) half to +1.  Its acceptance at the block-major live
+    input ``blocks.reshape(-1)`` on the upper half is
     1/2 + Tr(O_1 H O_2 H ... O_blocks H) / (2 * block_size)."""
 
+    spec: AlgorithmSpec
+    rho: Restriction
     n: int
     num_blocks: int
 
     @property
     def block_size(self) -> int:
         return 1 << self.n
+
+    def live_value(self, x_live: np.ndarray) -> float:
+        """Acceptance at a +/-1 assignment of the live (upper-half) coordinates."""
+        x = np.ones(self.spec.num_inputs)
+        x[x.size // 2 :] = x_live
+        return acceptance_direct(self.spec, x)
 
     def trace_value(self, blocks: np.ndarray) -> float:
         """Tr(O_1 H O_2 H ... O_k H), by dense products (the cross-check)."""
@@ -124,7 +140,11 @@ class TraceCircuit(CircuitBundle):
 def tightness_circuit(n: int, d: int) -> TraceCircuit:
     """The d-query trace circuit over d*N live input bits, N = 2^n.
 
-    Each round applies H to every block and moves block t to block t - 1, so
+    Register index ``flat = 2 * i + clean`` over oracle coordinates
+    i < 2 * live, with control bit ``i // live``.  Gate 0 puts the clean qubit
+    in |+> and swaps it into the control bit; each round applies H to every
+    block and moves block t to block t - 1 where the control is on; the last
+    gate swaps back and applies H to the clean qubit, which accepts on 0.  So
     the acceptance is 1/2 + Tr(O_1 H ... O_d H) / (2N).  Its spectrum is
     supported on subsets picking one index per block, all of magnitude
     1 / (2N * N^(d/2)), so the level-d growth is N^(d/2 - 1) / 2.
@@ -136,11 +156,17 @@ def tightness_circuit(n: int, d: int) -> TraceCircuit:
             f"tightness circuit needs a truth table over {d * (1 << n)} bits (cap {MAX_QUBITS})"
         )
     size = 1 << n
-    live = np.arange(d * size)
+    live = d * size
+    reg = 2 * live
+    coord, flat = np.arange(live), np.arange(2 * reg)
     step = np.kron(np.eye(d), hadamard_matrix(n))
-    gate = step[((live // size + 1) % d) * size + live % size]
-    bundle = interference_circuit([gate] * d)
-    return TraceCircuit(bundle.spec, bundle.rho, bundle.live_coords, n, d)
+    gate = step[((coord // size + 1) % d) * size + coord % size]
+    controlled = np.kron(block_diag(np.eye(live), gate), np.eye(2))
+    h_clean = np.kron(np.eye(reg), hadamard_matrix(1))
+    swap = flat + (flat % 2 - flat // reg) * (reg - 1)  # clean bit <-> control bit
+    gates = (h_clean[swap],) + (controlled,) * (d - 1) + (h_clean @ controlled[swap],)
+    spec = AlgorithmSpec(Model.DQCK, IndexSpace(reg, 1, 2), d, gates, flat % 2 == 0)
+    return TraceCircuit(spec, Restriction(np.repeat([1, 0], live)), n, d)
 
 
 def tightness_coefficient(circuit: TraceCircuit, offsets) -> float:
@@ -168,6 +194,7 @@ def tightness_level_growth(n: int, d: int) -> float:
 
 
 def random_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInstance:
+    _check_size(k, n)  # before the draw: n = 40 would ask for 16 TiB
     blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
     return ForrelationInstance(k, n, blocks)
 
@@ -175,6 +202,7 @@ def random_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInst
 def forrelated_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInstance:
     """Demo generator biasing the amplitude upward: the last block is the sign
     pattern of the transformed previous block.  No distributional claim."""
+    _check_size(k, n)
     blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
     if k >= 2:
         transformed = fwht(blocks[k - 2]) / np.sqrt(1 << n)

@@ -8,7 +8,7 @@ Conventions used everywhere in this package:
   coordinate ``i``, workspace ``w``, clean ``c``.  The oracle coordinate is
   the slowest coordinate; this codec is fixed once and used by every module.
 * Exact inequalities from the underlying mathematics are asserted in the
-  tolerant form ``lhs <= rhs * (1 + rel) + abs`` (see :func:`leq_tol`).
+  tolerant form ``lhs <= rhs * (1 + LEQ_SLACK) + LEQ_SLACK`` (see :func:`leq_tol`).
 """
 
 from __future__ import annotations
@@ -22,16 +22,19 @@ from .errors import DimensionError, ShapeError
 #: Hard cap on qubit counts so 2**N truth tables stay addressable downstream.
 MAX_QUBITS = 20
 
-#: Default slack for unitarity / operator-norm preconditions.
-NORM_SLACK = 1e-9
+#: Relative and absolute slack of :func:`leq_tol`.
+LEQ_SLACK = 1e-9
+
+#: Unitarity slack of :func:`is_unitary`: ``||A^H A - I||_F <= UNITARY_TOL * max(1, sqrt(dim))``.
+UNITARY_TOL = 1e-9
 
 #: Largest imaginary part tolerated where a computed value must be real.
 IMAG_TOL = 1e-8
 
 
-def leq_tol(lhs: float, rhs: float, rel: float = 1e-9, abs_: float = 1e-9) -> bool:
+def leq_tol(lhs: float, rhs: float) -> bool:
     """Tolerant form of the exact inequality ``lhs <= rhs``."""
-    return lhs <= rhs * (1.0 + rel) + abs_
+    return lhs <= rhs * (1.0 + LEQ_SLACK) + LEQ_SLACK
 
 
 @dataclass(frozen=True)
@@ -143,9 +146,9 @@ def phase_vector(x: np.ndarray, space: IndexSpace) -> np.ndarray:
     return np.repeat(x, space.work_dim * space.clean_dim)
 
 
-def is_unitary(a: np.ndarray, tol: float = NORM_SLACK) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     residual = a.conj().T @ a - np.eye(a.shape[0])
-    return float(np.linalg.norm(residual)) <= tol * max(1.0, np.sqrt(a.shape[0]))
+    return float(np.linalg.norm(residual)) <= UNITARY_TOL * max(1.0, np.sqrt(a.shape[0]))

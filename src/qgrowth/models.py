@@ -22,7 +22,7 @@ certifies.
 
 The oracle is a pure phase on every oracle-register position.  A controlled
 oracle is expressed by doubling the oracle register and fixing half of the
-input with a restriction (see :func:`interference_circuit`).
+input with a restriction (see :func:`qgrowth.forrelation.tightness_circuit`).
 """
 
 from __future__ import annotations
@@ -111,14 +111,6 @@ class Restriction:
         for j, coord in enumerate(self.free_indices.tolist()):
             targets |= ((masks >> j) & 1) << coord
         return targets
-
-
-def restrict(x: np.ndarray, rho: Restriction) -> np.ndarray:
-    """Apply a restriction: coordinate i becomes rho_i when fixed, x_i when free."""
-    x = np.asarray(x, dtype=float)
-    if x.shape != rho.pattern.shape:
-        raise ShapeError(f"restrict: length mismatch {x.shape} vs {rho.pattern.shape}")
-    return np.where(rho.pattern == 0, x, rho.pattern.astype(float))
 
 
 @dataclass(frozen=True)
@@ -528,83 +520,6 @@ def hybrid_truth_table(hybrid: HybridSpec, workers: int = 1) -> np.ndarray:
             hybrid.leaf_algorithms[key], rho, workers=workers
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# interference circuits (doubled-register controlled oracle)
-
-
-@dataclass(frozen=True)
-class CircuitBundle:
-    """An algorithm together with the restriction that activates it."""
-
-    spec: AlgorithmSpec
-    rho: Restriction
-    live_coords: np.ndarray    # input coordinates carrying the actual function input
-
-    def live_value(self, x_live: np.ndarray) -> float:
-        """Acceptance at a +/-1 assignment of the live coordinates."""
-        x = restrict(np.ones(self.spec.num_inputs), self.rho)
-        x[self.live_coords] = np.asarray(x_live, dtype=float)
-        return acceptance_direct(self.spec, x)
-
-
-def _swap_clean_control(reg_dim: int) -> np.ndarray:
-    """Permutation swapping the clean qubit with the control half-bit of the register."""
-    half = reg_dim // 2
-    m = reg_dim * 2
-    flat = np.arange(m)
-    q = flat % 2
-    pos = (flat // 2) % half
-    c = flat // (2 * half)
-    target = ((q * half + pos) * 2) + c
-    mat = np.zeros((m, m))
-    mat[target, flat] = 1.0
-    return mat.astype(complex)
-
-
-def interference_circuit(round_gates: list) -> CircuitBundle:
-    """Single-clean-qubit interference tester for a sequence of L x L gates.
-
-    Builds a DQC1 algorithm over a doubled oracle register of dimension 2L
-    (control half + live half) plus one clean qubit.  With the bundled
-    restriction fixing the control-off half of the input to +1, the
-    acceptance probability is exactly
-
-        1/2 + (1/2L) * Re Tr(G_d O G_{d-1} O ... G_1 O)
-
-    where O is the diagonal of the live input half and G_r the round gates.
-    """
-    if not round_gates:
-        raise SpecificationError("interference circuit needs at least one round gate")
-    gates = [np.asarray(g, dtype=complex) for g in round_gates]
-    live = gates[0].shape[0]
-    for g in gates:
-        if g.shape != (live, live):
-            raise ShapeError("round gates must share one square shape")
-    reg = 2 * live
-    space = IndexSpace(reg, 1, 2)
-    m = space.total_dim
-    d = len(gates)
-
-    swap = _swap_clean_control(reg)
-    h_clean = np.kron(np.eye(reg), hadamard_matrix(1)).astype(complex)
-
-    def controlled(gate: np.ndarray) -> np.ndarray:
-        on_register = np.zeros((reg, reg), dtype=complex)
-        on_register[:live, :live] = np.eye(live)
-        on_register[live:, live:] = gate
-        return np.kron(on_register, np.eye(2))
-
-    unitaries = [swap @ h_clean]
-    unitaries += [controlled(g) for g in gates[:-1]]
-    unitaries.append(h_clean @ swap @ controlled(gates[-1]))
-
-    accept = (np.arange(m) % 2) == 0      # clean qubit measured |0>
-    spec = AlgorithmSpec(Model.DQCK, space, d, tuple(unitaries), accept)
-    pattern = np.concatenate([np.ones(live, dtype=np.int8), np.zeros(live, dtype=np.int8)])
-    rho = Restriction(pattern)
-    return CircuitBundle(spec, rho, np.arange(live, reg))
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,7 @@ def test_tightness_command(tmp_path, capsys):
     doc = json.loads(out.read_text())
     assert doc["pass"] is True
     assert doc["nonzero_coefficients"] == 4
-    assert "PASS" in capsys.readouterr().out
+    assert "PASS" in capsys.readouterr().err
 
 
 def test_tightness_resource_error():
@@ -198,9 +198,22 @@ def test_empty_level_list_is_a_usage_error(command, levels, tmp_path, capsys):
     assert not out.exists()
 
 
+class _RefusingGenerator:
+    """Stands in for ``np.random.default_rng(seed)``: every draw is recorded and refused."""
+
+    def __init__(self, calls):
+        self.calls = calls
+
+    def __getattr__(self, name):
+        def refuse(*args, **kwargs):
+            self.calls.append((name, args))
+            raise AssertionError(f"drew from the generator ({name})")
+        return refuse
+
+
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Record (and refuse) every random algorithm or gate the CLI draws."""
+    """Record (and refuse) every random algorithm, gate or instance the CLI draws."""
     calls = []
 
     def refuse(*args, **kwargs):
@@ -210,6 +223,8 @@ def no_draws(monkeypatch):
     for module, name in ((cli, "random_spec"), (cli, "random_hybrid"),
                          (models, "random_unitary")):
         monkeypatch.setattr(module, name, refuse)
+    # forrelation instances come straight from the generator
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: _RefusingGenerator(calls))
     return calls
 
 
@@ -226,9 +241,15 @@ def no_draws(monkeypatch):
       "--restriction", "random:1.7"], "0 <= p <= 1"),
     (["growth", "--model", "bqp", "--n", "4", "--w", "6", "--d", "2", "--trials", "1",
       "--restriction", "random:abc"], "'abc'"),
+    (["growth", "--model", "dqck", "--k", "0", "--n", "2", "--w", "9"], "one clean qubit"),
+    (["hybrid-growth", "--k", "0", "--n", "2", "--w", "9"], "one clean qubit"),
+    (["reduce", "--n", "2", "--k", "1", "--t", "1", "--w", "9"], "need 1 <= t < k"),
+    (["hybrid-growth", "--d", "0"], "--d must be >= 1"),
+    (["forrelation", "--n", "40"], "n must lie in [1, 12]"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
-        "restriction-p-text"])
+        "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
+        "hybrid-d-0", "forrelation-n-40"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
@@ -237,6 +258,17 @@ def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsy
     assert words in err
     assert no_draws == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["tightness", "--n", "1", "--d", "2"],
+    ["reduce", "--n", "2", "--k", "2", "--t", "1", "--d", "2", "--seed", "4"],
+    ["verify-decomposition", "--trials", "1", "--seed", "2"],
+], ids=["tightness", "reduce", "verify-decomposition"])
+def test_json_stdout_parses(argv, capsys):
+    # summary lines go to stderr, so stdout is one JSON document
+    assert main(argv + ["--workers", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["pass"] is True
 
 
 def test_growth_notes_vacuous_odd_levels(tmp_path, capsys):
@@ -372,7 +404,7 @@ def test_reduce_command(tmp_path, capsys):
     assert doc["pass"] is True
     assert doc["expected_ratio"] == pytest.approx(0.25)
     assert abs(doc["median_observed_ratio"] - 0.25) < 1e-9
-    assert "PASS" in capsys.readouterr().out
+    assert "PASS" in capsys.readouterr().err
 
 
 def test_hybrid_growth_command(tmp_path):

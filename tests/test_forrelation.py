@@ -18,7 +18,7 @@ from qgrowth.forrelation import (
 )
 from qgrowth.fourier import growth, spectrum_of_algorithm
 from qgrowth.linalg import hadamard_matrix
-from qgrowth.models import acceptance_direct, restrict
+from qgrowth.models import acceptance_direct
 
 
 def test_forr_single_fold_all_ones():
@@ -106,7 +106,7 @@ def test_trace_circuit_is_dqc1_with_restriction():
     circ = tightness_circuit(1, 2)
     assert circ.spec.space.clean_dim == 2
     assert circ.rho.fixed_indices.size == circ.rho.free_indices.size
-    x = restrict(np.ones(circ.spec.num_inputs), circ.rho)
+    x = np.where(circ.rho.pattern == 0, 1.0, circ.rho.pattern)
     value = acceptance_direct(circ.spec, x)
     assert 0.0 <= value <= 1.0
 
@@ -139,7 +139,6 @@ def test_tightness_guard_trips_before_building(monkeypatch):
         raise AssertionError("the guard let construction start")
 
     monkeypatch.setattr(forrelation, "hadamard_matrix", refuse)
-    monkeypatch.setattr(forrelation, "interference_circuit", refuse)
     with pytest.raises(ResourceLimitError, match="4096 bits"):
         tightness_circuit(12, 1)
     for n, d in [(0, 1), (1, 0), (-1, 2)]:

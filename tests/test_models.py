@@ -25,12 +25,10 @@ from qgrowth.models import (
     bias,
     formula_matrices,
     hybrid_truth_table,
-    interference_circuit,
     random_hybrid,
     random_restriction,
     random_spec,
     reduce_clean_qubits,
-    restrict,
     spec_from_json,
     spec_to_json,
     truth_table,
@@ -93,32 +91,6 @@ def test_formula_matches_direct(model, k):
         got_d = acceptance_direct(spec, x)
         assert got_f == pytest.approx(got_d, abs=1e-9)
         assert -1e-9 <= got_d <= 1 + 1e-9
-
-
-def test_dqc1_trace_test_circuit():
-    # interference circuit on reversed gates realizes 1/2 + Tr(O V_1 O V_2 ... O V_d)/2N
-    rng = np.random.default_rng(3)
-    n, d = 2, 3
-    size = 1 << n
-    vs = [random_unitary(size, 70 + t) for t in range(d)]
-    bundle = interference_circuit(list(reversed(vs)))
-    for _ in range(5):
-        x = _random_x(rng, size)
-        chain = np.eye(size, dtype=complex)
-        for v in vs:
-            chain = chain @ (x[:, None] * v)
-        want = 0.5 + np.trace(chain).real / (2 * size)
-        assert bundle.live_value(x) == pytest.approx(want, abs=1e-9)
-
-
-def test_restrict_examples():
-    x = np.array([-1.0, -1.0])
-    assert np.array_equal(restrict(x, Restriction.from_string("**")), x)
-    fixed = Restriction.from_string("+-")
-    out = restrict(x, fixed)
-    assert np.array_equal(out, [1.0, -1.0])
-    assert np.array_equal(restrict(-x, fixed), out)  # independent of x
-    assert np.array_equal(restrict(x, Restriction.from_string("+*")), [1.0, -1.0])
 
 
 def test_restriction_parsing_round_trip():
@@ -291,7 +263,7 @@ def test_truth_table_matches_formula_on_every_entry(model, d, w, n, star_prob, c
     free = rho.free_indices
     assert table.shape == (1 << free.size,)
     for mask, got in enumerate(table):
-        x = restrict(np.ones(space.oracle_dim), rho)
+        x = rho.pattern.astype(float)
         x[free] = np.where((mask >> np.arange(free.size)) & 1, -1.0, 1.0)
         assert abs(got - acceptance_formula(spec, x)) <= 1e-9
 
