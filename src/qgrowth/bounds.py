@@ -15,7 +15,13 @@ def dqck_growth_ceiling(big_n: int, k: int, d: int, level: int) -> float:
 
 
 def bqp_growth_ceiling(big_n: int, d: int, level: int) -> float:
-    """C(2d, level) * N^((level-1)/2), for level >= 1."""
+    """C(2d, level) * N^((level-1)/2), for level >= 1.
+
+    It also bounds HALF_BQP: a fully mixed start s, revealed at the end, runs
+    the clean-start algorithm whose first gate is U_0 with columns 0 and s
+    swapped and whose accepting set is row s of F.  The HALF_BQP acceptance
+    is the mean of these M runs, and level growth (the l1 norm of one level's
+    coefficients) is convex, so the mean's growth is at most the largest run's."""
     if level < 1:
         raise ParameterError("the clean-start ceiling applies to levels >= 1")
     return comb(2 * d, level) * big_n ** ((level - 1) / 2)

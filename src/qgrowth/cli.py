@@ -4,10 +4,12 @@ Commands: growth, verify-decomposition, forrelation, tightness, spectrum,
 reduce, hybrid-growth.  Every run is deterministic per seed, every emitted
 table row carries the certified growth ceiling next to the observation, and every
 artifact echoes its configuration: every option except --out, --format and
---workers, which cannot change a result.  --restriction, --d, --k, --t and
-forrelation's --n are checked before any gate or instance is drawn, and
-summary lines and notes go to stderr, so stdout without --out holds only the
-output.
+--workers, which cannot change a result.  --format (csv or json) exists only
+for the commands that write rows: growth, forrelation, spectrum and
+hybrid-growth.  --restriction, --d, --k, --t and forrelation's --n are checked
+before any gate or instance is drawn, and summary lines and notes go to
+stderr, so stdout without --out holds only the output.  ``main`` returns the
+exit code, usage errors from argument parsing included.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error.
@@ -29,7 +31,6 @@ from .linalg import IndexSpace, leq_tol
 from .models import (
     Model,
     Restriction,
-    bias,
     check_table_size,
     hybrid_truth_table,
     load_spec,
@@ -37,6 +38,7 @@ from .models import (
     random_restriction,
     random_spec,
     reduce_clean_qubits,
+    truth_table,
 )
 
 _USAGE_EXIT = 2
@@ -46,6 +48,14 @@ _VIOLATION_EXIT = 1
 #: result: ``command`` and ``func`` name the command the output comes from,
 #: and ``out``, ``format`` and ``workers`` choose where and how it is written.
 _NOT_ECHOED = frozenset({"command", "func", "out", "format", "workers"})
+
+#: Rounding allowance on exact values: a tightness coefficient at or below it
+#: is zero, and a forrelation amplitude may exceed 1 by it.
+ZERO_TOL = 1e-12
+#: Largest deviation from an exact expected value that tightness and reduce pass.
+MATCH_TOL = 1e-9
+#: Smallest |bias| whose ratio enters reduce's median observed ratio.
+RATIO_FLOOR = 1e-6
 
 
 def _fmt(value: float) -> str:
@@ -164,6 +174,8 @@ def cmd_verify_decomposition(args) -> int:
 def cmd_forrelation(args) -> int:
     rng = np.random.default_rng(args.seed)
     if args.eps is None:
+        if args.n == 1:
+            raise ParameterError("--n 1 has no default --eps; pass one")
         args.eps = forrelation.default_eps(args.k, 1 << args.n)
     rows = []
     ok = True
@@ -172,7 +184,7 @@ def cmd_forrelation(args) -> int:
         maker = forrelation.random_instance if kind == "random" else forrelation.forrelated_instance
         inst = maker(args.k, args.n, rng)
         value = forrelation.forr(inst)
-        ok &= abs(value) <= 1.0 + 1e-12
+        ok &= abs(value) <= 1.0 + ZERO_TOL
         rows.append((trial, kind, value, forrelation.classify(inst, args.eps).name))
     header = ["id", "kind", "forr_value", "label"]
     return _report(args, {"rows": [dict(zip(header, r)) for r in rows], "pass": ok},
@@ -187,11 +199,11 @@ def cmd_tightness(args) -> int:
     magnitude = 1.0 / (2 * size * size ** (d / 2))
     expected_growth = forrelation.tightness_level_growth(args.n, args.d)
     got_growth = fourier.growth(sp, d)
-    nonzero = np.flatnonzero(np.abs(sp.coeffs) > 1e-12)
+    nonzero = np.flatnonzero(np.abs(sp.coeffs) > ZERO_TOL)
     nonzero = nonzero[nonzero != 0]  # the empty set carries the 1/2 offset
     count_ok = nonzero.size == size**d
-    magnitude_ok = bool(np.all(np.abs(np.abs(sp.coeffs[nonzero]) - magnitude) <= 1e-9))
-    growth_ok = abs(got_growth - expected_growth) <= 1e-9
+    magnitude_ok = bool(np.all(np.abs(np.abs(sp.coeffs[nonzero]) - magnitude) <= MATCH_TOL))
+    growth_ok = abs(got_growth - expected_growth) <= MATCH_TOL
     passed = bool(growth_ok and count_ok and magnitude_ok)
     code = _report(args, {
         "level": d,
@@ -230,21 +242,15 @@ def cmd_reduce(args) -> int:
     spec = random_spec(Model.DQCK, space, args.d, rng)
     reduced = reduce_clean_qubits(spec, args.t)
     scale = 2.0 ** (-(args.t + 1))
-    n_inputs = space.oracle_dim
-    worst = 0.0
-    ratios = []
-    for mask in range(1 << n_inputs):
-        bits = (mask >> np.arange(n_inputs)) & 1
-        x = np.where(bits == 0, 1.0, -1.0)
-        before = bias(spec, x)
-        after = bias(reduced, x)
-        worst = max(worst, abs(after - scale * before))
-        if abs(before) > 1e-6:
-            ratios.append(after / before)
-    ok = worst <= 1e-9
+    before = 2 * truth_table(spec, workers=args.workers) - 1
+    after = 2 * truth_table(reduced, workers=args.workers) - 1
+    worst = float(np.max(np.abs(after - scale * before)))
+    counted = np.abs(before) > RATIO_FLOOR
+    ok = worst <= MATCH_TOL
     code = _report(args, {
         "expected_ratio": scale,
-        "median_observed_ratio": float(np.median(ratios)) if ratios else float("nan"),
+        "median_observed_ratio": (float(np.median(after[counted] / before[counted]))
+                                  if counted.any() else float("nan")),
         "max_pointwise_deviation": worst,
         "pass": ok,
     })
@@ -280,10 +286,12 @@ def cmd_hybrid_growth(args) -> int:
 # parser
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_common(parser: argparse.ArgumentParser, rows: bool = False) -> None:
+    """Options every command takes; ``rows`` adds ``--format`` for commands that write rows."""
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--out", default=None, help="output path (default stdout)")
-    parser.add_argument("--format", choices=["csv", "json"], default="csv")
+    if rows:
+        parser.add_argument("--format", choices=["csv", "json"], default="csv")
     parser.add_argument("--workers", type=int, default=max(1, os.cpu_count() or 1))
 
 
@@ -295,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("growth", help="random-algorithm growth vs certified ceilings")
-    p.add_argument("--model", choices=["bqp", "dqck", "dqc1"], default="dqck")
+    p.add_argument("--model", choices=["bqp", "dqck", "dqc1", "half-bqp"], default="dqck")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--w", type=int, default=0)
     p.add_argument("--k", type=int, default=1)
@@ -304,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--restriction", default=None,
                    help="fixed pattern over '+-*' or 'random:p' (p = fix probability)")
-    _add_common(p)
+    _add_common(p, rows=True)
     p.set_defaults(func=cmd_growth)
 
     p = sub.add_parser("verify-decomposition", help="factorization guarantees on random specs")
@@ -317,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, default=3)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--eps", type=float, default=None)
-    _add_common(p)
+    _add_common(p, rows=True)
     p.set_defaults(func=cmd_forrelation)
 
     p = sub.add_parser("tightness", help="growth-saturating circuit certification")
@@ -329,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectrum", help="exact spectrum of a JSON algorithm spec")
     p.add_argument("--spec", default=None, help="path to an algorithm-spec JSON document")
     p.add_argument("--restriction", default=None)
-    _add_common(p)
+    _add_common(p, rows=True)
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("reduce", help="clean-qubit reduction bias certification")
@@ -348,15 +356,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--levels", default="2,3")
     p.add_argument("--trials", type=int, default=5)
-    _add_common(p)
+    _add_common(p, rows=True)
     p.set_defaults(func=cmd_hybrid_growth)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # usage errors and --help: return the code, do not exit
+        return exc.code
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
         return _USAGE_EXIT

@@ -24,12 +24,14 @@ from .errors import (
     ValidationError,
 )
 from .linalg import IMAG_TOL, MAX_QUBITS, f2_inner
-from .models import AlgorithmSpec, Model, Restriction, formula_matrices, truth_table
+from .models import AlgorithmSpec, Model, Restriction, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
 DIRECT_SUM_GUARD = 10**7
 #: Most index tuples one direct-summation block spans.
 _DIRECT_BLOCK = 1 << 16
+#: Rounding slack on the |gamma_i| <= 1 bound of the structured sign families.
+GAMMA_SLACK = 1e-12
 
 
 def fwht(values: np.ndarray) -> np.ndarray:
@@ -142,46 +144,32 @@ def _subset_sizes(num_vars: int) -> np.ndarray:
 
 
 class SignKind(Enum):
-    GENERIC = "generic"
     ALPHA_GAMMA = "alpha_gamma"
     BETA_GAMMA = "beta_gamma"
 
 
 @dataclass(frozen=True)
 class SignFamily:
-    """Set-indexed signs in [-1, 1]: a generic map, or the structured
-    three-block families built from a gamma vector."""
+    """Set-indexed signs in [-1, 1]: the structured three-block families
+    built from a gamma vector."""
 
     kind: SignKind
     level: int
     num_vars: int
-    values: Optional[dict] = None
-    gamma: Optional[np.ndarray] = None
+    gamma: np.ndarray
 
     def __post_init__(self):
-        if self.kind is SignKind.GENERIC:
-            if self.values is None:
-                raise SpecificationError("generic sign family needs a mask -> value map")
-            for mask, val in self.values.items():
-                if not abs(val) <= 1 + 1e-12:  # NaN included
-                    raise ValidationError(f"sign magnitude exceeds 1 at mask {mask}")
-                if mask >> self.num_vars or bin(mask).count("1") != self.level:
-                    raise SpecificationError(
-                        f"mask {mask:b} is not a level-{self.level} subset of "
-                        f"{self.num_vars} variables"
-                    )
-        else:
-            gamma = np.asarray(self.gamma, dtype=float)
-            if gamma.shape != (self.num_vars,):
-                raise ShapeError("gamma vector length must equal num_vars")
-            if not np.all(np.abs(gamma) <= 1 + 1e-12):  # NaN included
-                raise ValidationError("gamma entries must lie in [-1, 1]")
-            if self.num_vars % 3:
-                raise SpecificationError("structured sign families need num_vars divisible by 3")
-            want = 3 if self.kind is SignKind.ALPHA_GAMMA else 6
-            if self.level != want:
-                raise SpecificationError(f"{self.kind.value} requires level {want}")
-            object.__setattr__(self, "gamma", gamma)
+        gamma = np.asarray(self.gamma, dtype=float)
+        if gamma.shape != (self.num_vars,):
+            raise ShapeError("gamma vector length must equal num_vars")
+        if not np.all(np.abs(gamma) <= 1 + GAMMA_SLACK):  # NaN included
+            raise ValidationError("gamma entries must lie in [-1, 1]")
+        if self.num_vars % 3:
+            raise SpecificationError("structured sign families need num_vars divisible by 3")
+        want = 3 if self.kind is SignKind.ALPHA_GAMMA else 6
+        if self.level != want:
+            raise SpecificationError(f"{self.kind.value} requires level {want}")
+        object.__setattr__(self, "gamma", gamma)
 
     @cached_property
     def table(self) -> tuple:
@@ -191,20 +179,15 @@ class SignFamily:
         ALPHA takes one element per block and weighs {a, b, c} by
         ``_alpha_tensor``; BETA takes two elements per block, pairs them in
         sorted order and weighs the set by the product of the two alphas."""
-        if self.kind is SignKind.GENERIC:
-            count = len(self.values)
-            masks = np.fromiter(self.values.keys(), dtype=np.int64, count=count)
-            weights = np.fromiter(self.values.values(), dtype=float, count=count)
-        else:
-            block = self.num_vars // 3
-            bits = (np.int64(1) << np.arange(self.num_vars, dtype=np.int64)).reshape(3, block)
-            alpha = _alpha_tensor(self.gamma)
-            if self.kind is SignKind.BETA_GAMMA:
-                low, high = np.triu_indices(block, 1)
-                bits = bits[:, low] | bits[:, high]
-                alpha = alpha[np.ix_(low, low, low)] * alpha[np.ix_(high, high, high)]
-            masks = bits[0][:, None, None] | bits[1][None, :, None] | bits[2][None, None, :]
-            masks, weights = masks.reshape(-1), alpha.reshape(-1)
+        block = self.num_vars // 3
+        bits = (np.int64(1) << np.arange(self.num_vars, dtype=np.int64)).reshape(3, block)
+        alpha = _alpha_tensor(self.gamma)
+        if self.kind is SignKind.BETA_GAMMA:
+            low, high = np.triu_indices(block, 1)
+            bits = bits[:, low] | bits[:, high]
+            alpha = alpha[np.ix_(low, low, low)] * alpha[np.ix_(high, high, high)]
+        masks = bits[0][:, None, None] | bits[1][None, :, None] | bits[2][None, None, :]
+        masks, weights = masks.reshape(-1), alpha.reshape(-1)
         masks.setflags(write=False)
         weights.setflags(write=False)
         return masks, weights
@@ -251,7 +234,7 @@ def _restricted_chain(spec: AlgorithmSpec, rho: Optional[Restriction]):
     wk = spec.space.work_dim * spec.space.clean_dim
     flats = np.arange(spec.space.total_dim)
     old_of_new = order[flats // wk] * wk + flats % wk
-    vs = [mat[np.ix_(old_of_new, old_of_new)] for mat in formula_matrices(spec)]
+    vs = [mat[np.ix_(old_of_new, old_of_new)] for mat in spec.formula_matrices]
     damp = np.where(rho.pattern == 0, 1, rho.pattern).astype(float)[old_of_new // wk]
 
     if spec.model is Model.DQCK:
@@ -362,14 +345,14 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
 
     Works at sizes where the full truth table is far out of reach.  The
     acceptance sums index tuples that carry x at four phase slots: the rows
-    of V2, V3, V5 and V6 of :func:`formula_matrices`.  Their phases multiply
-    to x_a x_b x_c, for distinct free a, b, c, only when three slots carry
-    the letters and the fourth carries a fixed coordinate j, weighted rho_j.
-    So each fixed slot is one contraction that keeps the other three slots'
-    oracle indices in slot order, with the fixed slot's rows weighted rho_j
-    at fixed coordinates and zeroed at free ones.  The sum over fixed slots
-    is added over the six orders of its axes, since a coefficient does not
-    depend on which slot holds which letter.
+    of V2, V3, V5 and V6 of ``AlgorithmSpec.formula_matrices``.  Their
+    phases multiply to x_a x_b x_c, for distinct free a, b, c, only when
+    three slots carry the letters and the fourth carries a fixed coordinate
+    j, weighted rho_j.  So each fixed slot is one contraction that keeps the
+    other three slots' oracle indices in slot order, with the fixed slot's
+    rows weighted rho_j at fixed coordinates and zeroed at free ones.  The
+    sum over fixed slots is added over the six orders of its axes, since a
+    coefficient does not depend on which slot holds which letter.
     """
     if spec.model is not Model.HALF_BQP:
         raise SpecificationError("level-3 block tensor applies to HALF_BQP algorithms")
@@ -387,7 +370,7 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     shapes = ((m, n, wk), (n, wk, n, wk), (n, wk, m)) * 2
     out = np.zeros((n, n, n))
     for row, kept in ((1, "QRT"), (2, "PRT"), (4, "PQT"), (5, "PQR")):
-        mats = [fixed * mat if t == row else mat for t, mat in enumerate(formula_matrices(spec))]
+        mats = [fixed * mat if t == row else mat for t, mat in enumerate(spec.formula_matrices)]
         operands = [mat.reshape(shape) for mat, shape in zip(mats, shapes)]
         # numpy caps intermediates at the largest operand by default, which at
         # W > 1 forces a 6-way loop; three letters and a work pair fit n^3 W^2

@@ -186,8 +186,16 @@ class AlgorithmSpec:
         return np.ascontiguousarray(fold).view(float).reshape(n, -1), np.ascontiguousarray(last.T)
 
     @cached_property
-    def _formula_matrices(self) -> tuple:
-        """Read-only matrices of :func:`formula_matrices`."""
+    def formula_matrices(self) -> tuple:
+        """Bounded-norm matrix arrangement of the closed-form acceptance expression.
+
+        BQP: f = <0| V_1 O V_2 ... O V_{2d+1} |0>.
+        DQCK: f = (NW)^{-1} Tr((O V_1)(O V_2)...(O V_{2d})).
+        HALF_BQP: f = M^{-1} sum_{a,b} F[a,b] L[a,b] R[b,a] with
+            L = V_1 O ... O V_{d+1} and R = V_{d+2} O ... O V_{2d+2}.
+
+        Built once per spec and cached on it as a tuple of read-only arrays.
+        """
         gates = self.unitaries
         d = self.d
         if self.model is Model.BQP:
@@ -231,23 +239,10 @@ def acceptance_direct(spec: AlgorithmSpec, x: np.ndarray) -> float:
     return float(_table_chunk(spec, x[None, :])[0])
 
 
-def formula_matrices(spec: AlgorithmSpec) -> tuple:
-    """Bounded-norm matrix arrangement of the closed-form acceptance expression.
-
-    BQP: f = <0| V_1 O V_2 ... O V_{2d+1} |0>.
-    DQCK: f = (NW)^{-1} Tr((O V_1)(O V_2)...(O V_{2d})).
-    HALF_BQP: f = M^{-1} sum_{a,b} F[a,b] L[a,b] R[b,a] with
-        L = V_1 O ... O V_{d+1} and R = V_{d+2} O ... O V_{2d+2}.
-
-    Built once per spec and cached on it as a tuple of read-only arrays.
-    """
-    return spec._formula_matrices
-
-
 def acceptance_formula(spec: AlgorithmSpec, x: np.ndarray) -> float:
     """Acceptance probability by the matrix-product expression (not simulation)."""
     phases = phase_vector(x, spec.space)
-    vs = formula_matrices(spec)
+    vs = spec.formula_matrices
     if spec.model is Model.BQP:
         vec = vs[-1][:, 0]
         for mat in vs[-2::-1]:
@@ -432,59 +427,50 @@ def reduce_clean_qubits(spec: AlgorithmSpec, t: int) -> AlgorithmSpec:
 # hybrid (classical pre-processing) algorithms
 
 
-class Leaf(NamedTuple):
-    key: str
-
-
 class Query(NamedTuple):
     coord: int
-    plus: Union["Query", Leaf]
-    minus: Union["Query", Leaf]
-
-
-TreeNode = Union[Query, Leaf]
+    plus: Union["Query", AlgorithmSpec]
+    minus: Union["Query", AlgorithmSpec]
 
 
 @dataclass(frozen=True)
 class HybridSpec:
-    """Classical decision tree whose leaves each run a quantum algorithm."""
+    """Classical decision tree of ``Query`` nodes whose leaves are quantum algorithms."""
 
-    tree: TreeNode
-    leaf_algorithms: dict
+    tree: Union[Query, AlgorithmSpec]
 
     def __post_init__(self):
-        specs = list(self.leaf_algorithms.values())
-        if not specs:
-            raise SpecificationError("hybrid needs at least one leaf algorithm")
-        ref = specs[0]
-        for other in specs[1:]:
-            if other.model is not ref.model or other.space != ref.space or other.d != ref.d:
+        ref = self.leaf_algorithms[0]
+        for leaf, path in self.leaf_paths():
+            if leaf.model is not ref.model or leaf.space != ref.space or leaf.d != ref.d:
                 raise SpecificationError("leaf algorithms must share model, space and d")
-        for key, path in self.leaf_paths():
-            if key not in self.leaf_algorithms:
-                raise SpecificationError(f"tree leaf {key!r} has no algorithm")
             coords = [c for c, _ in path]
             if len(coords) != len(set(coords)):
                 raise SpecificationError("a root-to-leaf path queries a coordinate twice")
 
+    @cached_property
+    def leaf_algorithms(self) -> tuple:
+        """The leaf algorithms, in :meth:`leaf_paths` order."""
+        return tuple(spec for spec, _ in self.leaf_paths())
+
     @property
     def space(self) -> IndexSpace:
-        return next(iter(self.leaf_algorithms.values())).space
+        return self.leaf_algorithms[0].space
 
     @property
     def d(self) -> int:
-        return next(iter(self.leaf_algorithms.values())).d
+        return self.leaf_algorithms[0].d
 
     def leaf_paths(self):
-        """Yield (leaf key, [(coord, sign), ...]) for every root-to-leaf path."""
+        """Yield (leaf algorithm, [(coord, sign), ...]) for every root-to-leaf path."""
         stack = [(self.tree, [])]
         while stack:
             node, path = stack.pop()
-            if isinstance(node, Leaf):
-                yield node.key, path
-            else:
+            if isinstance(node, Query):
                 stack.append((node.plus, path + [(node.coord, 1)]))
                 stack.append((node.minus, path + [(node.coord, -1)]))
+            else:
+                yield node, path
 
 
 def acceptance_hybrid(hybrid: HybridSpec, x: np.ndarray) -> float:
@@ -493,11 +479,7 @@ def acceptance_hybrid(hybrid: HybridSpec, x: np.ndarray) -> float:
     node = hybrid.tree
     while isinstance(node, Query):
         node = node.plus if x[node.coord] > 0 else node.minus
-    try:
-        leaf_spec = hybrid.leaf_algorithms[node.key]
-    except KeyError as exc:
-        raise SpecificationError(f"no algorithm for leaf {node.key!r}") from exc
-    return acceptance_direct(leaf_spec, x)
+    return acceptance_direct(node, x)
 
 
 def hybrid_truth_table(hybrid: HybridSpec, workers: int = 1) -> np.ndarray:
@@ -509,16 +491,14 @@ def hybrid_truth_table(hybrid: HybridSpec, workers: int = 1) -> np.ndarray:
     n = hybrid.space.oracle_dim
     check_table_size(n)
     out = np.empty(1 << n, dtype=float)
-    for key, path in hybrid.leaf_paths():
+    for leaf, path in hybrid.leaf_paths():
         pattern = np.zeros(n, dtype=np.int8)
         minus = 0
         for coord, sign in path:
             pattern[coord] = sign
             minus |= (sign < 0) << coord
         rho = Restriction(pattern)
-        out[rho.embed_masks() | minus] = truth_table(
-            hybrid.leaf_algorithms[key], rho, workers=workers
-        )
+        out[rho.embed_masks() | minus] = truth_table(leaf, rho, workers=workers)
     return out
 
 
@@ -556,19 +536,15 @@ def random_hybrid(
     """Random decision tree of the given depth with random leaf algorithms."""
     if depth < 0 or depth > d:
         raise ParameterError("hybrid tree depth must lie in [0, d]")
-    leaves: dict = {}
 
-    def build(level: int, used: tuple) -> TreeNode:
+    def build(level: int, used: tuple) -> Union[Query, AlgorithmSpec]:
         if level == 0:
-            key = f"leaf{len(leaves)}"
-            leaves[key] = random_spec(model, space, d, rng)
-            return Leaf(key)
+            return random_spec(model, space, d, rng)
         available = [c for c in range(space.oracle_dim) if c not in used]
         coord = int(rng.choice(available))
         return Query(coord, build(level - 1, used + (coord,)), build(level - 1, used + (coord,)))
 
-    tree = build(depth, ())
-    return HybridSpec(tree, leaves)
+    return HybridSpec(build(depth, ()))
 
 
 # ---------------------------------------------------------------------------

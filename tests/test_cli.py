@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgrowth import cli, fourier, models
+from qgrowth import bounds, cli, fourier, models
 from qgrowth.cli import main
 from qgrowth.linalg import hadamard_matrix
 from qgrowth.models import Model, spec_to_json, AlgorithmSpec
@@ -419,6 +419,57 @@ def test_hybrid_growth_command(tmp_path):
 
 def test_bad_usage_exit_code():
     assert main(["growth", "--model", "dqck", "--n", "0"]) == 2
+
+
+@pytest.mark.parametrize("argv, words", [
+    (["growth", "--model", "xyz"], "invalid choice"),
+    (["growth", "--n", "two"], "invalid int value"),
+    (["tightness", "--bogus"], "unrecognized arguments"),
+    (["tightness", "--format", "csv"], "unrecognized arguments"),
+    (["verify-decomposition", "--format", "json"], "unrecognized arguments"),
+    (["reduce", "--format", "csv"], "unrecognized arguments"),
+    (["forrelation", "--n", "1"], "--n 1 has no default --eps; pass one"),
+], ids=["bad-choice", "bad-int", "unknown-option", "tightness-format", "verify-format",
+        "reduce-format", "forrelation-n-1-no-eps"])
+def test_usage_errors_return_2(argv, words, capsys):
+    # main returns the exit code to in-process callers instead of raising SystemExit
+    assert main(argv + ["--workers", "1"]) == 2
+    assert words in capsys.readouterr().err
+
+
+def test_help_returns_0(capsys):
+    assert main(["tightness", "--help"]) == 0
+    assert "--format" not in capsys.readouterr().out
+
+
+def test_growth_half_bqp(tmp_path):
+    out = tmp_path / "g.json"
+    argv = ["growth", "--model", "half-bqp", "--n", "2", "--d", "2", "--levels", "2,3",
+            "--trials", "2", "--restriction", "random:0.5", "--seed", "4", "--format", "json",
+            "--workers", "1", "--out", str(out)]
+    assert main(argv) == 0
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is True
+    assert [r["ceiling"] for r in doc["rows"]] == [bounds.bqp_growth_ceiling(4, 2, level)
+                                                   for level in (2, 3)]
+
+
+def test_reduce_deviation_matches_per_input_bias_loop(capsys):
+    # the truth-table deviation equals a per-input bias loop bit for bit at the
+    # README configuration, so benchmark rows built from bias match the CLI
+    space = IndexSpace.qubits(2, 0, 2)
+    for seed in range(50):
+        argv = ["reduce", "--n", "2", "--k", "2", "--t", "1", "--d", "2", "--seed", str(seed),
+                "--workers", "1"]
+        assert main(argv) == 0
+        got = json.loads(capsys.readouterr().out)["max_pointwise_deviation"]
+        spec = models.random_spec(Model.DQCK, space, 2, np.random.default_rng(seed))
+        reduced = models.reduce_clean_qubits(spec, 1)
+        want = 0.0
+        for mask in range(16):
+            x = np.where((mask >> np.arange(4)) & 1, -1.0, 1.0)
+            want = max(want, abs(models.bias(reduced, x) - 0.25 * models.bias(spec, x)))
+        assert got == want
 
 
 def test_signed_growth_report_script_runs(monkeypatch, capsys):

@@ -128,35 +128,11 @@ def test_growth_level_masks_are_cached_and_exact():
         masks[0] = 1
 
 
-def _masks_of_level(num_vars, level):
-    return np.flatnonzero(_subset_sizes(num_vars) == level).tolist()
-
-
 def _sign(fam, mask):
     """The family's sign at one subset, read through a one-hot spectrum."""
     coeffs = np.zeros(1 << fam.num_vars)
     coeffs[mask] = 1.0
     return signed_growth(FourierSpectrum(fam.num_vars, coeffs), fam)
-
-
-def test_signed_growth_maximizer_and_zero():
-    rng = np.random.default_rng(9)
-    sp = spectrum_from_table(rng.random(16))
-    fam = SignFamily(SignKind.GENERIC, 2, 4, values={
-        m: float(np.sign(sp.coeffs[m])) for m in _masks_of_level(4, 2)
-    })
-    assert signed_growth(sp, fam) == pytest.approx(growth(sp, 2), abs=1e-12)
-    zero = SignFamily(SignKind.GENERIC, 2, 4, values={m: 0.0 for m in _masks_of_level(4, 2)})
-    assert signed_growth(sp, zero) == 0.0
-
-
-def test_signed_growth_bounded_by_growth():
-    rng = np.random.default_rng(10)
-    for _ in range(20):
-        sp = spectrum_from_table(rng.random(64))
-        values = {m: float(rng.uniform(-1, 1)) for m in _masks_of_level(6, 3)}
-        fam = SignFamily(SignKind.GENERIC, 3, 6, values=values)
-        assert abs(signed_growth(sp, fam)) <= growth(sp, 3) + 1e-12
 
 
 def test_alpha_gamma_block_structure():
@@ -236,18 +212,10 @@ def test_sign_family_validation():
     with pytest.raises(ValidationError):
         SignFamily(SignKind.BETA_GAMMA, 6, 12, gamma=2 * np.ones(12))
     with pytest.raises(ValidationError):
-        SignFamily(SignKind.GENERIC, 2, 4, values={0b11: 1.5})
-    with pytest.raises(ValidationError):
-        SignFamily(SignKind.GENERIC, 2, 4, values={0b11: float("nan")})
-    with pytest.raises(ValidationError):
         SignFamily(SignKind.ALPHA_GAMMA, 3, 3, gamma=np.array([np.nan, 1.0, 1.0]))
-    with pytest.raises(SpecificationError):
-        SignFamily(SignKind.GENERIC, 2, 4, values={0b111: 0.5})
-    with pytest.raises(SpecificationError):
-        SignFamily(SignKind.GENERIC, 2, 4, values={0b10001: 0.5})   # outside 4 variables
     sp = _table_spectrum(lambda x: x[0], 3)
     with pytest.raises(SpecificationError):
-        signed_growth(sp, SignFamily(SignKind.GENERIC, 1, 4, values={1: 1.0}))
+        signed_growth(sp, SignFamily(SignKind.ALPHA_GAMMA, 3, 6, gamma=np.ones(6)))
 
 
 def test_restriction_closure():

@@ -15,7 +15,6 @@ from qgrowth.linalg import IndexSpace, hadamard_matrix, random_unitary
 from qgrowth.models import (
     AlgorithmSpec,
     HybridSpec,
-    Leaf,
     Model,
     Query,
     Restriction,
@@ -23,7 +22,6 @@ from qgrowth.models import (
     acceptance_formula,
     acceptance_hybrid,
     bias,
-    formula_matrices,
     hybrid_truth_table,
     random_hybrid,
     random_restriction,
@@ -122,9 +120,9 @@ def test_restriction_string_rejects_other_characters(head, bad, tail):
 def test_formula_matrices_are_cached_and_read_only(model):
     space = IndexSpace.qubits(1, 0, 1 if model is Model.DQCK else 0)
     spec = random_spec(model, space, 2, np.random.default_rng(8))
-    mats = formula_matrices(spec)
+    mats = spec.formula_matrices
     assert isinstance(mats, tuple)
-    assert formula_matrices(spec) is mats
+    assert spec.formula_matrices is mats
     for mat in mats:
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
@@ -164,7 +162,8 @@ def test_hybrid_depth_zero_equals_plain():
     rng = np.random.default_rng(8)
     space = IndexSpace.qubits(2, 0, 1)
     spec = random_spec(Model.DQCK, space, 2, rng)
-    hybrid = HybridSpec(Leaf("only"), {"only": spec})
+    hybrid = HybridSpec(spec)
+    assert hybrid.leaf_algorithms == (spec,)
     x = _random_x(rng, 4)
     assert acceptance_hybrid(hybrid, x) == pytest.approx(acceptance_direct(spec, x))
 
@@ -173,7 +172,7 @@ def test_hybrid_single_query_tree():
     space = IndexSpace.qubits(2, 0, 1)
     accept_all = _identity_spec(Model.DQCK, space, accept=np.ones(8, dtype=bool))
     reject_all = _identity_spec(Model.DQCK, space, accept=np.zeros(8, dtype=bool))
-    hybrid = HybridSpec(Query(0, Leaf("a"), Leaf("r")), {"a": accept_all, "r": reject_all})
+    hybrid = HybridSpec(Query(0, accept_all, reject_all))
     for mask in range(16):
         bits = (mask >> np.arange(4)) & 1
         x = np.where(bits == 0, 1.0, -1.0)
@@ -195,13 +194,13 @@ def test_hybrid_table_runs_the_selected_leaf_on_each_input():
     # depth-2 tree over non-adjacent coordinates, both signs on every level
     rng = np.random.default_rng(12)
     space = IndexSpace.qubits(3, 0, 1)
+    leaves = {key: random_spec(Model.DQCK, space, 2, rng) for key in ("pp", "pm", "mp", "mm")}
     tree = Query(
         6,
-        Query(1, Leaf("pp"), Leaf("pm")),
-        Query(3, Leaf("mp"), Leaf("mm")),
+        Query(1, leaves["pp"], leaves["pm"]),
+        Query(3, leaves["mp"], leaves["mm"]),
     )
-    leaves = {key: random_spec(Model.DQCK, space, 2, rng) for key in ("pp", "pm", "mp", "mm")}
-    table = hybrid_truth_table(HybridSpec(tree, leaves))
+    table = hybrid_truth_table(HybridSpec(tree))
     for mask in range(1 << 8):
         x = np.where((mask >> np.arange(8)) & 1, -1.0, 1.0)
         key = ("p" if x[6] > 0 else "m") + ("p" if x[1 if x[6] > 0 else 3] > 0 else "m")
@@ -211,9 +210,19 @@ def test_hybrid_table_runs_the_selected_leaf_on_each_input():
 def test_hybrid_path_validation():
     space = IndexSpace.qubits(1, 0, 1)
     leaf_spec = _identity_spec(Model.DQCK, space, accept=np.ones(4, dtype=bool))
-    tree = Query(0, Query(0, Leaf("a"), Leaf("b")), Leaf("c"))
     with pytest.raises(SpecificationError):
-        HybridSpec(tree, {"a": leaf_spec, "b": leaf_spec, "c": leaf_spec})
+        HybridSpec(Query(0, Query(0, leaf_spec, leaf_spec), leaf_spec))
+    other = _identity_spec(Model.DQCK, IndexSpace.qubits(1, 1, 1), accept=np.ones(8, dtype=bool))
+    with pytest.raises(SpecificationError):
+        HybridSpec(Query(0, leaf_spec, other))
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2])
+def test_random_hybrid_has_one_algorithm_per_leaf(depth):
+    space = IndexSpace.qubits(2, 0, 1)
+    hybrid = random_hybrid(Model.DQCK, space, 2, np.random.default_rng(depth), depth=depth)
+    assert len(hybrid.leaf_algorithms) == 2**depth
+    assert all(leaf.space == space and leaf.d == 2 for leaf in hybrid.leaf_algorithms)
 
 
 def test_half_bqp_start_independent_predicate_averages_runs():
@@ -232,6 +241,23 @@ def test_half_bqp_start_independent_predicate_averages_runs():
         circuit = gate @ (phases[:, None] * circuit)
     want = float(np.mean(np.sum(np.abs(circuit[outcome_set, :]) ** 2, axis=0)))
     assert acceptance_direct(spec, x) == pytest.approx(want, abs=1e-12)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(1, 2), st.integers(0, 1), st.integers(1, 2), st.integers(0, 2**32 - 1))
+def test_half_bqp_table_is_mean_of_per_start_bqp_tables(n, w, d, seed):
+    # start s is the clean-start run whose first gate maps |0> to U_0|s> and
+    # whose accepting set is row s: why the BQP ceiling bounds HALF_BQP growth
+    space = IndexSpace.qubits(n, w)
+    spec = random_spec(Model.HALF_BQP, space, d, np.random.default_rng(seed))
+    runs = []
+    for s in range(space.total_dim):
+        cols = np.arange(space.total_dim)
+        cols[[0, s]] = cols[[s, 0]]
+        first = spec.unitaries[0][:, cols]
+        run = AlgorithmSpec(Model.BQP, space, d, (first,) + spec.unitaries[1:], spec.accept[s])
+        runs.append(truth_table(run))
+    assert np.max(np.abs(truth_table(spec) - np.mean(runs, axis=0))) <= 1e-12
 
 
 def test_truth_table_worker_determinism():
