@@ -6,10 +6,10 @@ table row carries the certified growth ceiling next to the observation, and ever
 artifact echoes its configuration: every option except --out, --format and
 --workers, which cannot change a result.  --format (csv or json) exists only
 for the commands that write rows: growth, forrelation, spectrum and
-hybrid-growth.  --restriction, --d, --k, --t and forrelation's --n are checked
-before any gate or instance is drawn, and summary lines and notes go to
-stderr, so stdout without --out holds only the output.  ``main`` returns the
-exit code, usage errors from argument parsing included.
+hybrid-growth.  --seed, --restriction, --d, --k, --t and forrelation's --n
+are checked before any gate or instance is drawn, and summary lines and notes
+go to stderr, so stdout without --out holds only the output.  ``main``
+returns the exit code, usage errors from argument parsing included.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error.
@@ -156,7 +156,8 @@ def cmd_growth(args) -> int:
     code = _report(args, {"rows": [dict(zip(header, row)) for row in rows],
                           "pass": all(row[-1] == "pass" for row in rows)}, header, rows)
     if args.restriction is None:
-        # x -> -x multiplies every state by (-1)^d, so f(-x) = f(x)
+        # x -> -x multiplies every state by (-1)^d, so f(-x) = f(x); the same
+        # symmetry lets truth_table simulate only half of an unrestricted cube
         for level in levels:
             if level % 2:
                 print(f"note: level {level} is exactly 0 without --restriction",
@@ -172,6 +173,8 @@ def cmd_verify_decomposition(args) -> int:
 
 
 def cmd_forrelation(args) -> int:
+    if not 1 <= args.n <= forrelation.FORR_MAX_N:
+        raise ParameterError(f"--n must lie in [1, {forrelation.FORR_MAX_N}], got {args.n}")
     rng = np.random.default_rng(args.seed)
     if args.eps is None:
         if args.n == 1:
@@ -369,6 +372,9 @@ def main(argv=None) -> int:
         return exc.code
     if args.workers < 1:
         print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
+        return _USAGE_EXIT
+    if args.seed < 0:
+        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
         return _USAGE_EXIT
     if getattr(args, "trials", 1) < 1:
         print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)

@@ -23,14 +23,14 @@ from .fourier import fwht
 from .linalg import MAX_QUBITS, IndexSpace, f2_inner, hadamard_matrix
 from .models import AlgorithmSpec, Model, Restriction, acceptance_direct
 
-_FORR_MAX_N = 12
+FORR_MAX_N = 12
 
 
 def _check_size(k: int, n: int) -> None:
     if k < 1:
         raise ParameterError(f"fold count k must be >= 1, got {k}")
-    if not 1 <= n <= _FORR_MAX_N:
-        raise ParameterError(f"n must lie in [1, {_FORR_MAX_N}], got {n}")
+    if not 1 <= n <= FORR_MAX_N:
+        raise ParameterError(f"n must lie in [1, {FORR_MAX_N}], got {n}")
 
 
 @dataclass(frozen=True)

@@ -20,6 +20,11 @@ the closed-form matrix-product expression for the same quantity and shares
 no code with the kernel; the two must agree to 1e-9, which the test suite
 certifies.
 
+The oracle is a pure phase, so O_{-x} = -O_x and every final state only picks
+up a global (-1)^d: every model's acceptance is even, f(-x) = f(x).  A truth
+table that fixes no coordinate therefore simulates only the inputs whose last
+coordinate is +1 and mirrors them onto the rest.
+
 The oracle is a pure phase on every oracle-register position.  A controlled
 oracle is expressed by doubling the oracle register and fixing half of the
 input with a restriction (see :func:`qgrowth.forrelation.tightness_circuit`).
@@ -329,21 +334,26 @@ def truth_table(
     """Acceptance probability on every input consistent with ``rho``.
 
     Returns a length 2^F table, F the number of free coordinates; entry at
-    mask m has free coordinate j set to -1 iff bit j of m is 1.  The sweep is
-    sharded into chunks of ``chunk`` inputs (default ``max(256, 4096 // S)``);
-    with ``workers > 1`` they run on at most one thread each and are
-    reassembled in index order, so results do not depend on the worker count.
+    mask m has free coordinate j set to -1 iff bit j of m is 1.  When ``rho``
+    fixes no coordinate, only the masks below 2^(F-1) (last coordinate +1) are
+    simulated: mask 2^F-1-m is -x of mask m, and f(-x) = f(x) because x -> -x
+    multiplies every final state by (-1)^d.  The sweep is sharded into
+    chunks of ``chunk`` inputs (default ``max(256, 4096 // S)``); with
+    ``workers > 1`` they run on at most one thread each and are reassembled
+    in index order, so results do not depend on the worker count.
     """
     n = spec.num_inputs
     if rho is None:
         rho = Restriction.all_free(n)
     if len(rho) != n:
         raise ShapeError(f"restriction length {len(rho)} != input length {n}")
-    check_table_size(rho.free_indices.size)
-    size = 1 << rho.free_indices.size
+    free = rho.free_indices.size
+    check_table_size(free)
+    size = 1 << free
+    swept = size // 2 if 0 < free == n else size
     chunk = max(256, 4096 // spec.start_indices().size) if chunk is None else chunk
     out = np.empty(size, dtype=float)
-    chunks = [(lo, min(lo + chunk, size)) for lo in range(0, size, chunk)]
+    chunks = [(lo, min(lo + chunk, swept)) for lo in range(0, swept, chunk)]
 
     def run(bounds):
         lo, hi = bounds
@@ -355,6 +365,7 @@ def truth_table(
     else:
         for bounds in chunks:
             run(bounds)
+    out[swept:] = out[: size - swept][::-1]  # empty when rho fixes a coordinate
     return out
 
 

@@ -246,10 +246,16 @@ def no_draws(monkeypatch):
     (["reduce", "--n", "2", "--k", "1", "--t", "1", "--w", "9"], "need 1 <= t < k"),
     (["hybrid-growth", "--d", "0"], "--d must be >= 1"),
     (["forrelation", "--n", "40"], "n must lie in [1, 12]"),
+    (["forrelation", "--n", "-1"], "--n must lie in [1, 12], got -1"),
+    (["forrelation", "--n", "0"], "--n must lie in [1, 12], got 0"),
+    (["growth", "--seed", "-1", "--trials", "1"], "--seed must be >= 0, got -1"),
+    (["forrelation", "--seed", "-1"], "--seed must be >= 0, got -1"),
+    (["verify-decomposition", "--seed", "-1", "--trials", "1"], "--seed must be >= 0, got -1"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
-        "hybrid-d-0", "forrelation-n-40"])
+        "hybrid-d-0", "forrelation-n-40", "forrelation-n-minus-1", "forrelation-n-0",
+        "growth-seed-minus-1", "forrelation-seed-minus-1", "verify-seed-minus-1"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2

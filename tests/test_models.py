@@ -11,7 +11,8 @@ from qgrowth.errors import (
     SpecificationError,
     ValidationError,
 )
-from qgrowth.linalg import IndexSpace, hadamard_matrix, random_unitary
+from qgrowth.fourier import spectrum_of_algorithm
+from qgrowth.linalg import IndexSpace, f2_inner, hadamard_matrix, random_unitary
 from qgrowth.models import (
     AlgorithmSpec,
     HybridSpec,
@@ -30,6 +31,8 @@ from qgrowth.models import (
     spec_from_json,
     spec_to_json,
     truth_table,
+    _input_block,
+    _table_chunk,
 )
 
 
@@ -326,7 +329,57 @@ def test_truth_table_starts_at_most_one_thread_per_chunk(monkeypatch):
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 1, np.random.default_rng(3))
     one = truth_table(spec, workers=1, chunk=3)
     assert np.array_equal(truth_table(spec, workers=64, chunk=3), one)
-    assert sizes == [6]      # 16 inputs in chunks of 3
+    assert sizes == [3]      # 8 of the 16 inputs simulated, in chunks of 3
+
+
+def _space(model, n=3):
+    return IndexSpace.qubits(n, 0, 1 if model is Model.DQCK else 0)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("model", list(Model))
+def test_unrestricted_table_equals_a_sweep_of_every_input(model, d, workers):
+    # the mirrored half is bit for bit what simulating -x gives; the chunk is a
+    # power of two because BLAS rounds the rows of a ragged block differently
+    spec = random_spec(model, _space(model), d, np.random.default_rng(40 + d))
+    n = spec.num_inputs
+    every = _table_chunk(spec, _input_block(np.arange(1 << n), Restriction.all_free(n)))
+    assert np.array_equal(truth_table(spec, workers=workers, chunk=16), every)
+
+
+@pytest.mark.parametrize("pattern, rows", [
+    (None, 8), ("****", 8), ("*+**", 8), ("-***", 8), ("+-**", 4), ("+--+", 1),
+])
+def test_only_an_unrestricted_table_simulates_half_the_cube(pattern, rows, monkeypatch):
+    import qgrowth.models as models_module
+
+    simulated = []
+    real_chunk = models_module._table_chunk
+
+    def counting_chunk(spec, x):
+        simulated.append(len(x))
+        return real_chunk(spec, x)
+
+    monkeypatch.setattr(models_module, "_table_chunk", counting_chunk)
+    spec = random_spec(Model.BQP, IndexSpace.qubits(2), 2, np.random.default_rng(5))
+    rho = None if pattern is None else Restriction.from_string(pattern)
+    table = truth_table(spec, rho, chunk=3)
+    assert sum(simulated) == rows
+    assert table.size == (16 if pattern is None else 1 << pattern.count("*"))
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("model", list(Model))
+def test_unrestricted_odd_levels_are_exactly_zero(model, d, seed):
+    # f(-x) = f(x) for every model, so every odd-level coefficient cancels
+    spec = random_spec(model, _space(model), d, np.random.default_rng(60 + seed))
+    coeffs = spectrum_of_algorithm(spec, workers=2).coeffs
+    masks = np.arange(coeffs.size)
+    odd = f2_inner(masks, coeffs.size - 1) == 1
+    assert np.all(coeffs[odd] == 0.0)
+    assert np.any(coeffs[~odd][1:] != 0.0)
 
 
 def test_truth_table_restriction_enumerates_free_coords_only():
