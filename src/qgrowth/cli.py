@@ -6,10 +6,10 @@ table row carries the certified growth ceiling next to the observation, and ever
 artifact echoes its configuration: every option except --out, --format and
 --workers, which cannot change a result.  --format (csv or json) exists only
 for the commands that write rows: growth, forrelation, spectrum and
-hybrid-growth.  --seed, --restriction, --d, --k, --t and forrelation's --n
-are checked before any gate or instance is drawn, and summary lines and notes
-go to stderr, so stdout without --out holds only the output.  ``main``
-returns the exit code, usage errors from argument parsing included.
+hybrid-growth.  --seed, --restriction, --levels (distinct, in [1, N]), --d,
+--k, --t and --n are checked, by name, before any gate or instance is drawn;
+summary lines and notes go to stderr, so stdout without --out holds only the
+output.  ``main`` returns the exit code, usage errors from parsing included.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error.
@@ -27,7 +27,7 @@ import numpy as np
 from . import bounds, fourier, forrelation
 from .decomposition import random_decomposition_spec, verify
 from .errors import ParameterError, ResourceLimitError, ValidationError
-from .linalg import IndexSpace, leq_tol
+from .linalg import MAX_QUBITS, IndexSpace, leq_tol
 from .models import (
     Model,
     Restriction,
@@ -86,11 +86,24 @@ def _report(args, payload: dict, header=None, rows=None) -> int:
     return 0 if payload.get("pass", True) else _VIOLATION_EXIT
 
 
-def _parse_levels(text: str):
-    levels = [int(part) for part in text.split(",") if part]
-    if not levels:
-        raise ParameterError(f"--levels needs at least one level, got {text!r}")
+def _parse_levels(text: str, big_n: int):
+    """``--levels`` as distinct integers in [1, N]; a level above N has no subsets."""
+    try:
+        levels = [int(part) for part in text.split(",") if part]
+    except ValueError:
+        raise ParameterError(f"--levels takes comma-separated integers, got {text!r}") from None
+    if not levels or len(set(levels)) < len(levels):
+        raise ParameterError(f"--levels needs distinct levels, at least one, got {text!r}")
+    if not all(1 <= level <= big_n for level in levels):
+        raise ParameterError(f"--levels needs levels >= 1 and <= N = {big_n}, got {text!r}")
     return levels
+
+
+def _qubit_space(args) -> IndexSpace:
+    """The register space of ``--n``, ``--w`` and ``--k``, refusing ``--n`` by name."""
+    if not 1 <= args.n <= MAX_QUBITS:
+        raise ParameterError(f"--n must lie in [1, {MAX_QUBITS}], got {args.n}")
+    return IndexSpace.qubits(args.n, args.w, args.k)
 
 
 def _restrictions(option, n):
@@ -128,8 +141,8 @@ def cmd_growth(args) -> int:
         args.k = 0
     elif args.k < 1:
         raise ParameterError(f"DQCK needs at least one clean qubit, got --k {args.k}")
-    space = IndexSpace.qubits(args.n, args.w, args.k)
-    levels = _parse_levels(args.levels)
+    space = _qubit_space(args)
+    levels = _parse_levels(args.levels, space.oracle_dim)
     if model is Model.DQCK:
         ceilings = {level: bounds.dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
                     for level in levels}
@@ -240,7 +253,7 @@ def cmd_reduce(args) -> int:
     if not 1 <= args.t < args.k:
         raise ParameterError(f"need 1 <= t < k (k={args.k}), got t={args.t}")
     rng = np.random.default_rng(args.seed)
-    space = IndexSpace.qubits(args.n, args.w, args.k)
+    space = _qubit_space(args)
     check_table_size(space.oracle_dim)
     spec = random_spec(Model.DQCK, space, args.d, rng)
     reduced = reduce_clean_qubits(spec, args.t)
@@ -265,8 +278,8 @@ def cmd_reduce(args) -> int:
 def cmd_hybrid_growth(args) -> int:
     if args.k < 1:
         raise ParameterError(f"DQCK needs at least one clean qubit, got --k {args.k}")
-    space = IndexSpace.qubits(args.n, args.w, args.k)
-    levels = _parse_levels(args.levels)
+    space = _qubit_space(args)
+    levels = _parse_levels(args.levels, space.oracle_dim)
     ceilings = {level: bounds.hybrid_dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
                 for level in levels}
     check_table_size(space.oracle_dim)

@@ -36,18 +36,27 @@ GAMMA_SLACK = 1e-12
 
 def fwht(values: np.ndarray) -> np.ndarray:
     """Unnormalized Walsh-Hadamard transform; out[S] = sum_m in[m] (-1)^|m & S|."""
-    out = np.array(values, dtype=float, copy=True)
-    size = out.size
+    src = np.array(values, dtype=float, copy=True)
+    size = src.size
     if size & (size - 1):
         raise ShapeError(f"transform length must be a power of two, got {size}")
+    dst = np.empty_like(src)
     width = 1
     while width < size:
-        out = out.reshape(-1, 2, width)
-        top = out[:, 0, :] + out[:, 1, :]
-        bottom = out[:, 0, :] - out[:, 1, :]
-        out = np.stack([top, bottom], axis=1).reshape(-1)
-        width *= 2
-    return out
+        if 2 * width < size:  # butterflies (a, b) -> (a + b, a - b) on bits width, 2 * width
+            a, o = src.reshape(-1, 2, 2, width), dst.reshape(-1, 2, 2, width)
+            low = [(a[:, h, 0] + a[:, h, 1], a[:, h, 0] - a[:, h, 1]) for h in (0, 1)]
+            for j in (0, 1):
+                np.add(low[0][j], low[1][j], out=o[:, 0, j])
+                np.subtract(low[0][j], low[1][j], out=o[:, 1, j])
+            width *= 4
+        else:
+            a, o = src.reshape(2, width), dst.reshape(2, width)
+            np.add(a[0], a[1], out=o[0])
+            np.subtract(a[0], a[1], out=o[1])
+            width *= 2
+        src, dst = dst, src
+    return src
 
 
 @dataclass(frozen=True)
@@ -67,11 +76,25 @@ class FourierSpectrum:
 
 
 def spectrum_from_table(table: np.ndarray) -> FourierSpectrum:
+    """Spectrum of a 2^F truth table (entry m at input mask m).
+
+    An even table, f(-x) = f(x), with no sign bit set (unrestricted acceptance
+    tables) is transformed at half size: the full butterfly's last pass would
+    add (-1)^|S| A to A, A the lower half's transform, so coefficient S is
+    exactly 2 A[S mod 2^(F-1)] / 2^F for even |S| and +0.0 for odd |S|.  A -0.0
+    entry could flip a zero coefficient's sign, hence the sign-bit test."""
     table = np.asarray(table, dtype=float)
     num_vars = int(table.size - 1).bit_length()
     if table.size != 1 << num_vars:
         raise ShapeError(f"table length {table.size} is not a power of two")
-    return FourierSpectrum(num_vars, fwht(table) / table.size)
+    half = table.size // 2
+    if half and np.array_equal(table[half:], table[:half][::-1]) and not np.signbit(table).any():
+        lower = 2.0 * fwht(table[:half])
+        odd = _subset_sizes(num_vars - 1) & 1
+        coeffs = np.concatenate([np.where(odd, 0.0, lower), np.where(odd, lower, 0.0)])
+    else:
+        coeffs = fwht(table)
+    return FourierSpectrum(num_vars, coeffs / table.size)
 
 
 def spectrum_of_algorithm(

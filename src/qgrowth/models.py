@@ -278,23 +278,14 @@ def bias(spec: AlgorithmSpec, x: np.ndarray) -> float:
 # truth tables
 
 
-def _input_block(masks: np.ndarray, rho: Restriction) -> np.ndarray:
-    """Materialize +/-1 inputs for a block of free-coordinate masks."""
-    free = rho.free_indices
-    base = rho.pattern.astype(float)
-    block = np.tile(base, (masks.size, 1))
-    if free.size:
-        bits = (masks[:, None] >> np.arange(free.size)) & 1
-        block[:, free] = np.where(bits == 0, 1.0, -1.0)
-    return block
-
-
 def _table_chunk(spec: AlgorithmSpec, x: np.ndarray) -> np.ndarray:
     """Acceptance probabilities for a (B, N) block of +/-1 inputs.
 
     Every model runs one gate loop over a (B, S, M) slab, one state per
     (input, start) pair: gate 1 is ``x @ fold``, later gates one GEMM on the
-    slab flattened to (B * S, M) (a stacked matmul would make B small ones).
+    slab flattened to (B * S, M) (a stacked matmul would make B small ones),
+    and each oracle multiplies it by the phase row: ``x`` when M = N, else
+    ``x`` repeated M/N times (coordinate i owns M/N consecutive positions).
     BQP/DQCK sum the accepted outcomes; HALF_BQP applies its (start, outcome) mask.
     """
     fold, last = spec._kernel_plan
@@ -302,7 +293,8 @@ def _table_chunk(spec: AlgorithmSpec, x: np.ndarray) -> np.ndarray:
     b, m = len(x), spec.space.total_dim
     slab = (x @ fold).view(complex).reshape(b, starts.size, -1)
     if spec.d > 1:
-        phases = np.repeat(x, m // spec.num_inputs, axis=1)[:, None, :]
+        per = m // spec.num_inputs
+        phases = (x if per == 1 else np.repeat(x, per, axis=1))[:, None, :]
         slab *= phases
         for gate in spec.unitaries[2:-1]:
             slab = (slab.reshape(-1, m) @ gate.T).reshape(slab.shape)
@@ -337,10 +329,11 @@ def truth_table(
     mask m has free coordinate j set to -1 iff bit j of m is 1.  When ``rho``
     fixes no coordinate, only the masks below 2^(F-1) (last coordinate +1) are
     simulated: mask 2^F-1-m is -x of mask m, and f(-x) = f(x) because x -> -x
-    multiplies every final state by (-1)^d.  The sweep is sharded into
-    chunks of ``chunk`` inputs (default ``max(256, 4096 // S)``); with
-    ``workers > 1`` they run on at most one thread each and are reassembled
-    in index order, so results do not depend on the worker count.
+    multiplies every final state by (-1)^d.  The swept inputs are built once,
+    as int8 rows (2^F' x N bytes for F' swept bits), and sharded into chunks
+    of ``chunk`` rows (default ``max(256, 4096 // S)``), each converted to
+    float; with ``workers > 1`` they run on at most one thread each and are
+    reassembled in index order, so results do not depend on the worker count.
     """
     n = spec.num_inputs
     if rho is None:
@@ -354,10 +347,13 @@ def truth_table(
     chunk = max(256, 4096 // spec.start_indices().size) if chunk is None else chunk
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, swept)) for lo in range(0, swept, chunk)]
+    rows = np.tile(np.where(rho.pattern == 0, 1, rho.pattern).astype(np.int8), (swept, 1))
+    for j, coord in enumerate(rho.free_indices[: swept.bit_length() - 1].tolist()):
+        rows.reshape(-1, 2 << j, n)[:, 1 << j :, coord] = -1  # masks with bit j set
 
     def run(bounds):
         lo, hi = bounds
-        out[lo:hi] = _table_chunk(spec, _input_block(np.arange(lo, hi, dtype=np.int64), rho))
+        out[lo:hi] = _table_chunk(spec, rows[lo:hi].astype(float))
 
     if workers > 1 and len(chunks) > 1:
         with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:

@@ -141,6 +141,17 @@ def test_criterion_4_bqp_ceiling():
                    f"{violations} violations, {elapsed:.1f}s")
 
 
+def test_criterion_4_half_bqp_under_the_clean_start_ceiling():
+    # a revealed fully mixed start averages M clean-start runs (bounds.bqp_growth_ceiling)
+    rng = np.random.default_rng(1014)
+    start = time.time()
+    checked, violations = _ceiling_harness(Model.HALF_BQP, (1, 2, 3), rng)
+    elapsed = time.time() - start
+    ok = violations == 0 and elapsed <= 300
+    _report(4, ok, f"HALF_BQP under the clean-start ceiling: {checked} growth values, "
+                   f"{violations} violations, {elapsed:.1f}s")
+
+
 def test_criterion_5_tightness():
     circ = tightness_circuit(2, 3)
     sp = spectrum_of_algorithm(circ.spec, circ.rho)

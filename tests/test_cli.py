@@ -14,6 +14,8 @@ from qgrowth.linalg import hadamard_matrix
 from qgrowth.models import Model, spec_to_json, AlgorithmSpec
 from qgrowth.linalg import IndexSpace
 
+ROOT = Path(__file__).resolve().parents[1]
+
 
 def test_growth_command_passes_and_is_deterministic(tmp_path):
     out1 = tmp_path / "a.csv"
@@ -251,11 +253,28 @@ def no_draws(monkeypatch):
     (["growth", "--seed", "-1", "--trials", "1"], "--seed must be >= 0, got -1"),
     (["forrelation", "--seed", "-1"], "--seed must be >= 0, got -1"),
     (["verify-decomposition", "--seed", "-1", "--trials", "1"], "--seed must be >= 0, got -1"),
+    (["growth", "--model", "bqp", "--levels", "1,1"], "--levels needs distinct levels"),
+    (["hybrid-growth", "--levels", "2,3,2"], "--levels needs distinct levels"),
+    (["growth", "--model", "bqp", "--n", "1", "--levels", "9"],
+     "--levels needs levels >= 1 and <= N = 2, got '9'"),
+    (["hybrid-growth", "--n", "1", "--levels", "2,3"],
+     "--levels needs levels >= 1 and <= N = 2, got '2,3'"),
+    (["growth", "--levels", "2,x"], "--levels takes comma-separated integers, got '2,x'"),
+    (["hybrid-growth", "--levels", "2.5"], "--levels takes comma-separated integers"),
+    (["growth", "--n", "0"], "--n must lie in [1, 20], got 0"),
+    (["growth", "--model", "bqp", "--n", "21"], "--n must lie in [1, 20], got 21"),
+    (["hybrid-growth", "--n", "0"], "--n must lie in [1, 20], got 0"),
+    (["hybrid-growth", "--n", "21"], "--n must lie in [1, 20], got 21"),
+    (["reduce", "--n", "0"], "--n must lie in [1, 20], got 0"),
+    (["reduce", "--n", "21"], "--n must lie in [1, 20], got 21"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
         "hybrid-d-0", "forrelation-n-40", "forrelation-n-minus-1", "forrelation-n-0",
-        "growth-seed-minus-1", "forrelation-seed-minus-1", "verify-seed-minus-1"])
+        "growth-seed-minus-1", "forrelation-seed-minus-1", "verify-seed-minus-1",
+        "growth-levels-twice", "hybrid-levels-twice", "growth-level-above-n",
+        "hybrid-level-above-n", "growth-levels-not-int", "hybrid-levels-not-int",
+        "growth-n-0", "growth-n-21", "hybrid-n-0", "hybrid-n-21", "reduce-n-0", "reduce-n-21"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
@@ -326,7 +345,7 @@ def test_output_does_not_depend_on_worker_count(argv, tmp_path, capsys):
     ("forrelation --k 2 --n 3 --trials 100 --seed 1",
      '{"eps": 0.1111111111111111, "k": 2, "n": 3, "seed": 1, "trials": 100}'),
     ("tightness --n 2 --d 3", '{"d": 3, "n": 2, "seed": 0}'),
-    ("spectrum --spec examples.json", '{"seed": 0, "spec": "examples.json"}'),
+    ("spectrum --spec specs/example_bqp.json", '{"seed": 0, "spec": "specs/example_bqp.json"}'),
     ("reduce --n 2 --k 2 --t 1 --d 2 --seed 5",
      '{"d": 2, "k": 2, "n": 2, "seed": 5, "t": 1, "w": 0}'),
     ("hybrid-growth --n 2 --k 1 --d 2 --trials 10",
@@ -336,15 +355,25 @@ def test_output_does_not_depend_on_worker_count(argv, tmp_path, capsys):
 def test_readme_commands_echo_their_config(argv, config, tmp_path, monkeypatch, capsys):
     # every option but --out, --format and --workers, with forrelation's
     # resolved eps and growth's k after the dqc1 rewrite
-    monkeypatch.chdir(tmp_path)
-    _halfbqp_spec_file(tmp_path / "examples.json")
-    assert main(argv.split() + ["--workers", "1", "--out", "out"]) == 0
+    monkeypatch.chdir(ROOT)
+    assert main(argv.split() + ["--workers", "1", "--out", str(tmp_path / "out")]) == 0
     text = (tmp_path / "out").read_text()
     if text.startswith("# "):
         echoed = text.splitlines()[0][2:]
     else:
         echoed = json.dumps(json.loads(text)["config"], sort_keys=True)
     assert echoed == config
+
+
+def test_readme_spectrum_command_runs_from_the_checkout(tmp_path, monkeypatch):
+    line = next(line for line in (ROOT / "README.md").read_text().splitlines()
+                if line.startswith("qgrowth spectrum "))
+    argv = line.split()[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "spectrum.csv")
+    monkeypatch.chdir(ROOT)
+    assert main(argv + ["--workers", "1"]) == 0
+    lines = (tmp_path / "spectrum.csv").read_text().splitlines()
+    assert lines[1] == "mask,coefficient" and len(lines) == 2 + 16
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan"])
@@ -364,7 +393,7 @@ def _perfbench_references():
     """Every (module, dotted name) that perfbench/*.py takes from qgrowth:
     ``from qgrowth... import`` names and attribute chains on imported modules."""
     refs = set()
-    for path in sorted(Path(__file__).resolve().parents[1].glob("perfbench/*.py")):
+    for path in sorted(ROOT.glob("perfbench/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         modules = {}
         for node in ast.walk(tree):
@@ -479,7 +508,7 @@ def test_reduce_deviation_matches_per_input_bias_loop(capsys):
 
 
 def test_signed_growth_report_script_runs(monkeypatch, capsys):
-    script = Path(__file__).resolve().parents[1] / "scripts" / "run_signed_growth_report.py"
+    script = ROOT / "scripts" / "run_signed_growth_report.py"
     monkeypatch.setattr(sys, "argv", [str(script), "--trials", "1"])
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(str(script), run_name="__main__")

@@ -479,3 +479,77 @@ def test_spectrum_exports(tmp_path):
 def test_fwht_rejects_bad_length():
     with pytest.raises(ShapeError):
         fwht(np.ones(6))
+
+
+def _fwht_reference(values):
+    """The stack-per-pass butterfly ``fwht`` replaced; the same adds and subtracts."""
+    out = np.array(values, dtype=float, copy=True)
+    width = 1
+    while width < out.size:
+        out = out.reshape(-1, 2, width)
+        top = out[:, 0, :] + out[:, 1, :]
+        bottom = out[:, 0, :] - out[:, 1, :]
+        out = np.stack([top, bottom], axis=1).reshape(-1)
+        width *= 2
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("num_vars", range(15))
+def test_fwht_matches_the_stack_per_pass_butterfly_bit_for_bit(num_vars):
+    rng = np.random.default_rng(70 + num_vars)
+    values = rng.standard_normal(1 << num_vars)
+    values[rng.random(values.size) < 0.2] = 0.0
+    values[rng.random(values.size) < 0.1] = -0.0
+    values[rng.random(values.size) < 0.2] = 1.0   # equal pairs give exact zeros
+    assert _same_bits(fwht(values), _fwht_reference(values))
+
+
+def _even_table(rng, num_vars):
+    lower = rng.random(1 << (num_vars - 1))
+    lower[rng.random(lower.size) < 0.2] = 0.25
+    return np.concatenate([lower, lower[::-1]])
+
+
+def _transform_sizes(monkeypatch):
+    import qgrowth.fourier as fourier_module
+
+    sizes = []
+    real = fourier_module.fwht
+
+    def recording(values):
+        sizes.append(np.size(values))
+        return real(values)
+
+    monkeypatch.setattr(fourier_module, "fwht", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("num_vars", range(1, 13))
+def test_even_table_is_transformed_at_half_size_bit_for_bit(num_vars, monkeypatch):
+    sizes = _transform_sizes(monkeypatch)
+    table = _even_table(np.random.default_rng(80 + num_vars), num_vars)
+    coeffs = spectrum_from_table(table).coeffs
+    assert sizes == [table.size // 2]
+    assert _same_bits(coeffs, _fwht_reference(table) / table.size)
+    odd = _subset_sizes(num_vars) % 2 == 1
+    assert np.all(coeffs[odd] == 0.0) and not np.any(np.signbit(coeffs[odd]))
+
+
+@pytest.mark.parametrize("table", [
+    "one entry off", [-0.0, 0.0], [0.0, -0.0, -0.0, 0.0], [0.5, -0.25, -0.25, 0.5],
+], ids=["one-entry-off", "negative-zero-low", "negative-zero-mid", "negative-entries"])
+def test_uneven_or_signed_table_takes_the_full_transform(table, monkeypatch):
+    # a -0.0 entry can flip the sign of a zero coefficient, so any set sign
+    # bit takes the full butterfly, like a table that is not even
+    if table == "one entry off":
+        table = _even_table(np.random.default_rng(90), 6)
+        table[5] = np.nextafter(table[5], 1.0)
+    table = np.array(table)
+    sizes = _transform_sizes(monkeypatch)
+    coeffs = spectrum_from_table(table).coeffs
+    assert sizes == [table.size]
+    assert _same_bits(coeffs, _fwht_reference(table) / table.size)

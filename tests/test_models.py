@@ -31,7 +31,6 @@ from qgrowth.models import (
     spec_from_json,
     spec_to_json,
     truth_table,
-    _input_block,
     _table_chunk,
 )
 
@@ -336,6 +335,15 @@ def _space(model, n=3):
     return IndexSpace.qubits(n, 0, 1 if model is Model.DQCK else 0)
 
 
+def _mask_inputs(masks, rho):
+    """+/-1 inputs decoded mask by mask: free coordinate j is -1 iff bit j is set."""
+    rows = np.tile(rho.pattern.astype(float), (masks.size, 1))
+    for row, mask in zip(rows, masks.tolist()):
+        for j, coord in enumerate(rho.free_indices.tolist()):
+            row[coord] = -1.0 if (mask >> j) & 1 else 1.0
+    return rows
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("model", list(Model))
@@ -344,8 +352,32 @@ def test_unrestricted_table_equals_a_sweep_of_every_input(model, d, workers):
     # power of two because BLAS rounds the rows of a ragged block differently
     spec = random_spec(model, _space(model), d, np.random.default_rng(40 + d))
     n = spec.num_inputs
-    every = _table_chunk(spec, _input_block(np.arange(1 << n), Restriction.all_free(n)))
+    every = _table_chunk(spec, _mask_inputs(np.arange(1 << n), Restriction.all_free(n)))
     assert np.array_equal(truth_table(spec, workers=workers, chunk=16), every)
+
+
+@pytest.mark.parametrize("pattern", [
+    None, "****", "+***", "***-", "*-+*", "-*+*", "**-+", "+-+*", "*-+-", "-+-+",
+], ids=lambda p: f"{p}")
+@pytest.mark.parametrize("chunk", [3, 64])
+def test_table_inputs_match_per_mask_decoding(pattern, chunk, monkeypatch):
+    # F = 0..4 free coordinates: fixed coordinates first, last and in the middle
+    import qgrowth.models as models_module
+
+    fed = []
+    real_chunk = models_module._table_chunk
+
+    def recording_chunk(spec, x):
+        fed.append(x)
+        return real_chunk(spec, x)
+
+    monkeypatch.setattr(models_module, "_table_chunk", recording_chunk)
+    spec = random_spec(Model.BQP, IndexSpace.qubits(2), 2, np.random.default_rng(9))
+    rho = Restriction.all_free(4) if pattern is None else Restriction.from_string(pattern)
+    table = truth_table(spec, None if pattern is None else rho, chunk=chunk)
+    swept = table.size // 2 if rho.fixed_indices.size == 0 else table.size
+    assert all(x.dtype == float and x.flags.c_contiguous for x in fed)
+    assert np.array_equal(np.concatenate(fed), _mask_inputs(np.arange(swept), rho))
 
 
 @pytest.mark.parametrize("pattern, rows", [
