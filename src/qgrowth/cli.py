@@ -7,7 +7,7 @@ artifact echoes its configuration: every option except --out, --format and
 --workers, which cannot change a result.  --format (csv or json) exists only
 for the commands that write rows: growth, forrelation, spectrum and
 hybrid-growth.  --seed, --restriction, --levels (distinct, in [1, N]), --d,
---k, --t and --n are checked, by name, before any gate or instance is drawn;
+--k, --t, --w and --n are checked, by name, before any gate or instance is drawn;
 summary lines and notes go to stderr, so stdout without --out holds only the
 output.  ``main`` returns the exit code, usage errors from parsing included.
 
@@ -100,9 +100,12 @@ def _parse_levels(text: str, big_n: int):
 
 
 def _qubit_space(args) -> IndexSpace:
-    """The register space of ``--n``, ``--w`` and ``--k``, refusing ``--n`` by name."""
+    """The register space of ``--n``, ``--w`` and ``--k``, refusing ``--n`` and ``--w``
+    by name (each command that reads ``--k`` has refused a negative one already)."""
     if not 1 <= args.n <= MAX_QUBITS:
         raise ParameterError(f"--n must lie in [1, {MAX_QUBITS}], got {args.n}")
+    if args.w < 0:
+        raise ParameterError(f"--w must be >= 0, got {args.w}")
     return IndexSpace.qubits(args.n, args.w, args.k)
 
 

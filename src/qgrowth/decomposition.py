@@ -25,11 +25,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 from .errors import (
     ParameterError,
@@ -48,6 +46,9 @@ from .linalg import (
 )
 from .models import AlgorithmSpec, Model, Restriction
 from . import fourier as _fourier
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Largest augmented dimension materialized as factors.
 AUGMENTED_DIM_GUARD = 65536
@@ -188,6 +189,7 @@ def _build_factor(spec: DecompositionSpec, position: int, indexer: AugmentedInde
     oracle + 1); an equality slot (s, t) also closes at t - 1, where the
     column's oracle + 1 must equal the stored digit, which is then cleared.
     """
+    import scipy.sparse as sp  # loaded on the first factor build, not with the package
     mat = spec.matrices[position - 1]
     oracle_of = spec.space.oracle_parts()
     i_row, s_row, a_row, b_row = indexer.decode(np.arange(indexer.dim))
@@ -253,23 +255,29 @@ def _block_spectral_norm(factor: sp.csr_matrix) -> float:
 
     Rows and columns joined by a nonzero form one block of a row/column
     permutation of F, so F is block diagonal and its norm is the largest
-    block norm.  Each block is placed in a k x k matrix indexed by its k row
-    and column nodes (the padding is zero and leaves the singular values
-    alone), and blocks of one size go through one batched SVD.
+    block norm.  A block is labelled by its least node: each pass takes the
+    neighbours' least label and then that label's own, until nothing moves.
+    Each block is placed in a k x k matrix over its k row and column nodes
+    (zero padding leaves the singular values alone); the distinct blocks of
+    one size go through one batched SVD (equal bytes, equal norms).
     """
     if factor.nnz == 0:
         return 0.0
     n_rows, n_cols = factor.shape
     size = n_rows + n_cols
-    indptr = np.concatenate([factor.indptr, np.full(n_cols, factor.nnz)])
-    pattern = sp.csr_matrix(
-        (np.ones(factor.nnz), factor.indices + n_rows, indptr), shape=(size, size)
-    )
-    _, label = connected_components(pattern, directed=False)
+    rows = np.repeat(np.arange(n_rows), np.diff(factor.indptr))
+    cols = factor.indices + n_rows
+    node, neighbour = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(size)
+    while True:
+        spread = label.copy()
+        np.minimum.at(spread, node, label[neighbour])
+        if np.array_equal(spread, label):
+            break
+        label = spread[spread]
     order = np.argsort(label, kind="stable")
     rank = np.empty(size, dtype=np.int64)
     rank[order] = np.arange(size) - np.searchsorted(label[order], label[order])
-    rows = np.repeat(np.arange(n_rows), np.diff(factor.indptr))
     block = label[rows]
     width = np.bincount(label)[block]
     best = 0.0
@@ -277,8 +285,11 @@ def _block_spectral_norm(factor: sp.csr_matrix) -> float:
         hit = width == k
         slot = np.unique(block[hit], return_inverse=True)[1]
         stack = np.zeros((slot.max() + 1, k, k), dtype=factor.dtype)
-        stack[slot, rank[rows[hit]], rank[factor.indices[hit] + n_rows]] = factor.data[hit]
-        best = max(best, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
+        stack[slot, rank[rows[hit]], rank[cols[hit]]] = factor.data[hit]
+        first = {}
+        for j, one in enumerate(stack):
+            first.setdefault(one.tobytes(), j)
+        best = max(best, float(np.linalg.norm(stack[list(first.values())], 2, axis=(1, 2)).max()))
     return best
 
 

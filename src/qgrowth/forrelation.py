@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 import numpy as np
-from scipy.linalg import block_diag
 
 from .errors import ParameterError, ResourceLimitError, ShapeError, ValidationError
 from .fourier import fwht
@@ -161,7 +160,9 @@ def tightness_circuit(n: int, d: int) -> TraceCircuit:
     coord, flat = np.arange(live), np.arange(2 * reg)
     step = np.kron(np.eye(d), hadamard_matrix(n))
     gate = step[((coord // size + 1) % d) * size + coord % size]
-    controlled = np.kron(block_diag(np.eye(live), gate), np.eye(2))
+    on_control = np.eye(reg)  # the identity with the control bit off, gate with it on
+    on_control[live:, live:] = gate
+    controlled = np.kron(on_control, np.eye(2))
     h_clean = np.kron(np.eye(reg), hadamard_matrix(1))
     swap = flat + (flat % 2 - flat // reg) * (reg - 1)  # clean bit <-> control bit
     gates = (h_clean[swap],) + (controlled,) * (d - 1) + (h_clean @ controlled[swap],)

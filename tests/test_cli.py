@@ -1,7 +1,9 @@
 import ast
 import importlib
 import json
+import os
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
@@ -267,6 +269,12 @@ def no_draws(monkeypatch):
     (["hybrid-growth", "--n", "21"], "--n must lie in [1, 20], got 21"),
     (["reduce", "--n", "0"], "--n must lie in [1, 20], got 0"),
     (["reduce", "--n", "21"], "--n must lie in [1, 20], got 21"),
+    (["growth", "--w", "-1"], "--w must be >= 0, got -1"),
+    (["hybrid-growth", "--w", "-1"], "--w must be >= 0, got -1"),
+    (["reduce", "--w", "-1"], "--w must be >= 0, got -1"),
+    (["growth", "--model", "dqck", "--k", "-1"], "got --k -1"),
+    (["hybrid-growth", "--k", "-1"], "got --k -1"),
+    (["reduce", "--k", "-1"], "(k=-1)"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
@@ -274,7 +282,9 @@ def no_draws(monkeypatch):
         "growth-seed-minus-1", "forrelation-seed-minus-1", "verify-seed-minus-1",
         "growth-levels-twice", "hybrid-levels-twice", "growth-level-above-n",
         "hybrid-level-above-n", "growth-levels-not-int", "hybrid-levels-not-int",
-        "growth-n-0", "growth-n-21", "hybrid-n-0", "hybrid-n-21", "reduce-n-0", "reduce-n-21"])
+        "growth-n-0", "growth-n-21", "hybrid-n-0", "hybrid-n-21", "reduce-n-0", "reduce-n-21",
+        "growth-w-minus-1", "hybrid-w-minus-1", "reduce-w-minus-1", "growth-k-minus-1",
+        "hybrid-k-minus-1", "reduce-k-minus-1"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
@@ -374,6 +384,25 @@ def test_readme_spectrum_command_runs_from_the_checkout(tmp_path, monkeypatch):
     assert main(argv + ["--workers", "1"]) == 0
     lines = (tmp_path / "spectrum.csv").read_text().splitlines()
     assert lines[1] == "mask,coefficient" and len(lines) == 2 + 16
+
+
+_COLD_START = """
+import json, sys
+import numpy as np
+from qgrowth import bounds, cli, decomposition, forrelation, fourier, models
+cold = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+spec = decomposition.random_decomposition_spec(np.random.default_rng(5), max_aug_dim=64)
+report = decomposition.verify(spec)
+print(json.dumps({"cold": cold, "pass": report["pass"], "sparse": "scipy.sparse" in sys.modules}))
+"""
+
+
+def test_cold_import_leaves_scipy_out_until_a_factor_is_built():
+    # only the sparse factors need scipy: a fresh process must not pay for it
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _COLD_START], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), check=True)
+    assert json.loads(done.stdout) == {"cold": [], "pass": True, "sparse": True}
 
 
 @pytest.mark.parametrize("eps", ["0", "-0.5", "nan"])

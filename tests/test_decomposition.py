@@ -7,6 +7,7 @@ from qgrowth.decomposition import (
     AUGMENTED_DIM_GUARD,
     AugmentedIndexer,
     DecompositionSpec,
+    _block_spectral_norm,
     brute_force_entry,
     brute_force_tensor,
     decompose,
@@ -169,6 +170,28 @@ def test_block_factor_norms_are_deterministic():
     built = _built(spec)
     assert (built.indexer.dim, spec.depth) == (3200, 4)
     assert built.factor_operator_norms() == built.factor_operator_norms()
+
+
+def test_block_norm_sees_a_larger_block_among_copies():
+    # five copies of a contraction A and one block B of larger norm between them:
+    # keeping only the first block of each size would report A's norm
+    import scipy.sparse as sp
+
+    a_block, b_block = 0.5 * random_unitary(4, 41), 1.5 * random_unitary(4, 42)
+    factor = sp.block_diag([a_block, a_block, b_block, a_block, a_block, a_block], format="csr")
+    assert _block_spectral_norm(factor) == pytest.approx(operator_norm(factor.toarray()), abs=1e-12)
+    assert _block_spectral_norm(factor) == pytest.approx(1.5, abs=1e-12)
+
+
+def test_block_norm_joins_a_long_permuted_chain():
+    # I + S over 40 rows is one block whose row/column graph is an 80-node path;
+    # cut into pieces, its norm would come out smaller
+    import scipy.sparse as sp
+
+    rng = np.random.default_rng(43)
+    chain = (np.eye(40) + np.eye(40, k=1))[rng.permutation(40)][:, rng.permutation(40)]
+    factor = sp.block_diag([0.5 * random_unitary(4, 44), chain], format="csr")
+    assert _block_spectral_norm(factor) == pytest.approx(operator_norm(factor.toarray()), abs=1e-12)
 
 
 def test_verify_entry_gather_matches_entrywise_loop():

@@ -128,6 +128,26 @@ def test_tightness_small_structure():
     assert growth(sp, 2) == pytest.approx(tightness_level_growth(1, 2), abs=1e-9)
 
 
+@pytest.mark.parametrize("n, d", [(1, 2), (1, 4), (2, 3)])
+def test_tightness_gates_match_a_block_diag_reference(n, d):
+    from scipy.linalg import block_diag
+
+    size = 1 << n
+    live = d * size
+    reg = 2 * live
+    coord, flat = np.arange(live), np.arange(2 * reg)
+    step = np.kron(np.eye(d), hadamard_matrix(n))
+    gate = step[((coord // size + 1) % d) * size + coord % size]
+    controlled = np.kron(block_diag(np.eye(live), gate), np.eye(2))
+    h_clean = np.kron(np.eye(reg), hadamard_matrix(1))
+    swap = flat + (flat % 2 - flat // reg) * (reg - 1)
+    want = (h_clean[swap],) + (controlled,) * (d - 1) + (h_clean @ controlled[swap],)
+    got = tightness_circuit(n, d).spec.unitaries
+    assert len(got) == len(want)
+    for mine, ref in zip(got, want):
+        assert np.array_equal(mine, ref)
+
+
 def test_tightness_cap():
     with pytest.raises(ResourceLimitError):
         tightness_circuit(3, 3)   # 24 live bits exceed the truth-table cap
