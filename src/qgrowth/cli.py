@@ -7,12 +7,14 @@ artifact echoes its configuration: every option except --out, --format and
 --workers, which cannot change a result.  --format (csv or json) exists only
 for the commands that write rows: growth, forrelation, spectrum and
 hybrid-growth.  --seed, --restriction, --levels (distinct, in [1, N]), --d,
---k, --t, --w and --n are checked, by name, before any gate or instance is drawn;
-summary lines and notes go to stderr, so stdout without --out holds only the
-output.  ``main`` returns the exit code, usage errors from parsing included.
+--k, --t, --w, --n and --eps (positive, finite) are checked, by name, before any
+gate or instance is drawn (growth's --k: default 1 for dqck, only 1 for dqc1, no
+effect but >= 0 for bqp and half-bqp, which echo 0).  Summary lines and notes go
+to stderr, so stdout without --out holds only the output.  ``main`` returns the
+exit code, usage errors from parsing included.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
-finding), 2 usage or resource error.
+finding), 2 usage or resource error, or a reader that closed stdout or stderr.
 """
 
 from __future__ import annotations
@@ -137,13 +139,14 @@ def _finite(value: float, what: str) -> float:
 
 def cmd_growth(args) -> int:
     name = args.model.upper().replace("-", "_")
-    if name == "DQC1":
-        name, args.k = "DQCK", 1
-    model = Model[name]
-    if model is not Model.DQCK:
-        args.k = 0
-    elif args.k < 1:
+    model = Model["DQCK" if name == "DQC1" else name]
+    if name == "DQC1" and args.k not in (None, 1):
+        raise ParameterError(f"DQC1 has exactly one clean qubit, got --k {args.k}")
+    if model is Model.DQCK and args.k is not None and args.k < 1:
         raise ParameterError(f"DQCK needs at least one clean qubit, got --k {args.k}")
+    if model is not Model.DQCK and args.k is not None and args.k < 0:
+        raise ParameterError(f"--k must be >= 0, got {args.k}")
+    args.k = (1 if args.k is None else args.k) if model is Model.DQCK else 0  # no effect on BQP
     space = _qubit_space(args)
     levels = _parse_levels(args.levels, space.oracle_dim)
     if model is Model.DQCK:
@@ -191,6 +194,10 @@ def cmd_verify_decomposition(args) -> int:
 def cmd_forrelation(args) -> int:
     if not 1 <= args.n <= forrelation.FORR_MAX_N:
         raise ParameterError(f"--n must lie in [1, {forrelation.FORR_MAX_N}], got {args.n}")
+    if args.k < 1:
+        raise ParameterError(f"--k must be >= 1, got {args.k}")
+    if args.eps is not None and not 0 < args.eps < np.inf:  # NaN fails too
+        raise ParameterError(f"--eps must be positive and finite, got {args.eps}")
     rng = np.random.default_rng(args.seed)
     if args.eps is None:
         if args.n == 1:
@@ -325,7 +332,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=["bqp", "dqck", "dqc1", "half-bqp"], default="dqck")
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--w", type=int, default=0)
-    p.add_argument("--k", type=int, default=1)
+    p.add_argument("--k", type=int, default=None, help="clean qubits (DQCK default 1)")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--levels", default="2,3")
     p.add_argument("--trials", type=int, default=10)
@@ -382,6 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()  # a reader that left shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:  # a reader closed stdout or stderr: no traceback, no exit 1
+        devnull = os.open(os.devnull, os.O_WRONLY)  # so the flush at exit cannot fail
+        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
+        return _USAGE_EXIT
+
+
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors and --help: return the code, do not exit

@@ -2,7 +2,7 @@
 single-clean-qubit trace circuits that realize it at desk scale.
 
 ``forr`` evaluates the amplitude <0..0| H O_1 H O_2 ... H O_k H |0..0> two
-independent ways (fast-transform statevector vs dense matrix product).
+independent ways (fast-transform statevector vs a row vector times dense H).
 ``tightness_circuit(n, d)`` builds the trace circuits: one-clean-qubit (DQC1)
 trace estimators over d blocks of N = 2^n live bits whose acceptance
 probability is 1/2 + Tr(O_1 H O_2 H ... O_d H) / (2N).  As a family they attain
@@ -65,12 +65,13 @@ def forr(inst: ForrelationInstance) -> float:
 
 
 def forr_dense(inst: ForrelationInstance) -> float:
-    """The amplitude, by dense matrix products (independent of :func:`forr`)."""
+    """The amplitude, independent of :func:`forr`: row 0 of the dense Hadamard H, then
+    ``row = (row * B_t) @ H`` for t = 1..k, entry 0.  O(k N^2), one N x N matrix live."""
     had = hadamard_matrix(inst.n)
-    total = had.copy()
+    row = had[0]
     for t in range(inst.k):
-        total = total @ (inst.blocks[t][:, None] * had)
-    return float(total[0, 0])
+        row = (row * inst.blocks[t]) @ had
+    return float(row[0])
 
 
 class Label(Enum):

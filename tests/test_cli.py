@@ -275,6 +275,16 @@ def no_draws(monkeypatch):
     (["growth", "--model", "dqck", "--k", "-1"], "got --k -1"),
     (["hybrid-growth", "--k", "-1"], "got --k -1"),
     (["reduce", "--k", "-1"], "(k=-1)"),
+    (["growth", "--model", "dqc1", "--k", "3"], "DQC1 has exactly one clean qubit, got --k 3"),
+    (["growth", "--model", "dqc1", "--k", "0"], "DQC1 has exactly one clean qubit, got --k 0"),
+    (["growth", "--model", "bqp", "--k", "-1", "--trials", "1"], "--k must be >= 0, got -1"),
+    (["growth", "--model", "half-bqp", "--k", "-2"], "--k must be >= 0, got -2"),
+    (["forrelation", "--k", "0"], "--k must be >= 1, got 0"),
+    (["forrelation", "--k", "-3", "--eps", "0.1"], "--k must be >= 1, got -3"),
+    (["forrelation", "--eps", "0"], "--eps must be positive and finite, got 0.0"),
+    (["forrelation", "--eps", "-1"], "--eps must be positive and finite, got -1.0"),
+    (["forrelation", "--eps", "nan"], "--eps must be positive and finite, got nan"),
+    (["forrelation", "--eps", "inf"], "--eps must be positive and finite, got inf"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
@@ -284,7 +294,10 @@ def no_draws(monkeypatch):
         "hybrid-level-above-n", "growth-levels-not-int", "hybrid-levels-not-int",
         "growth-n-0", "growth-n-21", "hybrid-n-0", "hybrid-n-21", "reduce-n-0", "reduce-n-21",
         "growth-w-minus-1", "hybrid-w-minus-1", "reduce-w-minus-1", "growth-k-minus-1",
-        "hybrid-k-minus-1", "reduce-k-minus-1"])
+        "hybrid-k-minus-1", "reduce-k-minus-1", "growth-dqc1-k-3", "growth-dqc1-k-0",
+        "growth-bqp-k-minus-1", "growth-half-bqp-k-minus-2", "forrelation-k-0",
+        "forrelation-k-minus-3", "forrelation-eps-0", "forrelation-eps-minus-1",
+        "forrelation-eps-nan", "forrelation-eps-inf"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
@@ -373,6 +386,39 @@ def test_readme_commands_echo_their_config(argv, config, tmp_path, monkeypatch, 
     else:
         echoed = json.dumps(json.loads(text)["config"], sort_keys=True)
     assert echoed == config
+
+
+@pytest.mark.parametrize("model, k, echoed", [
+    ("dqck", None, 1), ("dqc1", None, 1), ("dqc1", "1", 1), ("bqp", None, 0),
+    ("half-bqp", None, 0), ("bqp", "0", 0), ("bqp", "1", 0), ("half-bqp", "2", 0),
+])
+def test_growth_echoes_the_clean_qubits_its_model_uses(model, k, echoed, tmp_path):
+    # an omitted --k echoes what its model uses; bqp and half-bqp have no clean-qubit count
+    out = tmp_path / "rows.csv"
+    argv = ["growth", "--model", model, "--trials", "1", "--levels", "2", "--workers", "1"]
+    assert main(argv + ([] if k is None else ["--k", k]) + ["--out", str(out)]) == 0
+    config = json.loads(out.read_text().splitlines()[0][2:])
+    row = out.read_text().splitlines()[2].split(",")
+    assert config["k"] == echoed and row[3] == str(echoed)
+
+
+@pytest.mark.parametrize("closed", ["stderr", "stdout", "merged"])
+def test_closed_pipe_exits_2_without_traceback(closed):
+    # exit 1 means a violated bound; a reader that left is an I/O error.  The
+    # merged reader takes the first line, then leaves.
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "qgrowth", "growth", "--model", "bqp", "--trials", "1",
+            "--workers", "1"]
+    err = subprocess.STDOUT if closed == "merged" else subprocess.PIPE
+    with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=path),
+                          stdout=subprocess.PIPE, stderr=err) as proc:
+        if closed == "merged":
+            proc.stdout.readline()
+        getattr(proc, "stdout" if closed == "merged" else closed).close()
+        kept = {"stderr": proc.stdout, "stdout": proc.stderr}.get(closed)
+        left = kept.read() if kept else b""
+        assert proc.wait(timeout=60) == 2
+    assert b"Traceback" not in left and b"Exception ignored" not in left
 
 
 def test_readme_spectrum_command_runs_from_the_checkout(tmp_path, monkeypatch):

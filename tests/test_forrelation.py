@@ -41,6 +41,33 @@ def test_forr_pipelines_agree():
         assert forr(inst) == pytest.approx(forr_dense(inst), abs=1e-12)
 
 
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_forr_pipelines_agree_past_desk_scale(n):
+    rng = np.random.default_rng(70 + n)
+    for k in (1, 2, 3):
+        for make in (random_instance, forrelated_instance):
+            inst = make(k, n, rng)
+            assert abs(forr(inst) - forr_dense(inst)) <= 1e-12
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the other pipeline was called")
+
+
+def test_forr_dense_does_not_use_the_transform(monkeypatch):
+    inst = forrelated_instance(3, 6, np.random.default_rng(12))
+    want = forr_dense(inst)
+    monkeypatch.setattr(forrelation, "fwht", _refuse)
+    assert forr_dense(inst) == want
+
+
+def test_forr_does_not_use_the_dense_hadamard(monkeypatch):
+    inst = forrelated_instance(3, 6, np.random.default_rng(13))
+    want = forr(inst)
+    monkeypatch.setattr(forrelation, "hadamard_matrix", _refuse)
+    assert forr(inst) == want
+
+
 def test_forr_magnitude_bounded():
     rng = np.random.default_rng(8)
     for _ in range(200):

@@ -331,6 +331,25 @@ def test_truth_table_starts_at_most_one_thread_per_chunk(monkeypatch):
     assert sizes == [3]      # 8 of the 16 inputs simulated, in chunks of 3
 
 
+@pytest.mark.parametrize("model", list(Model))
+def test_default_chunks_are_powers_of_two_and_multiples_of_4(model, monkeypatch):
+    # HALF_BQP entries move by ~1e-17 when a chunk's row count is not a multiple
+    # of 4, so every chunk but the last must keep that shape for --out to hold
+    import qgrowth.models as models_module
+
+    rows = []
+    real_chunk = models_module._table_chunk
+    monkeypatch.setattr(models_module, "_table_chunk",
+                        lambda spec, x: rows.append(x.shape[0]) or real_chunk(spec, x))
+    for n in (1, 2, 3, 4):
+        rows.clear()
+        spec = random_spec(model, _space(model, n), 1, np.random.default_rng(n))
+        truth_table(spec, workers=1)
+        assert sum(rows) == 1 << (spec.num_inputs - 1)
+        assert all(r & (r - 1) == 0 and r % 4 == 0 for r in rows[:-1])
+        assert n < 4 or len(rows) > 1
+
+
 def _space(model, n=3):
     return IndexSpace.qubits(n, 0, 1 if model is Model.DQCK else 0)
 
