@@ -15,11 +15,14 @@ exit code, usage errors from parsing included.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error, or a reader that closed stdout or stderr.
+Every refusal after parsing goes through ``_run``'s one handler: a ``ValueError``
+prints ``error: <message>``, a ``ResourceLimitError`` ``resource error: <message>``.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import bounds, fourier, forrelation
 from .decomposition import random_decomposition_spec, verify
-from .errors import ParameterError, ResourceLimitError, ValidationError
+from .errors import ResourceLimitError
 from .linalg import MAX_QUBITS, IndexSpace, leq_tol
 from .models import (
     Model,
@@ -50,6 +53,10 @@ _VIOLATION_EXIT = 1
 #: result: ``command`` and ``func`` name the command the output comes from,
 #: and ``out``, ``format`` and ``workers`` choose where and how it is written.
 _NOT_ECHOED = frozenset({"command", "func", "out", "format", "workers"})
+
+#: (option, lowest value) of the integer options checked before any command runs;
+#: a command without the option skips its check.
+_LOWEST = (("workers", 1), ("seed", 0), ("trials", 1), ("d", 1), ("w", 0))
 
 #: Rounding allowance on exact values: a tightness coefficient at or below it
 #: is zero, and a forrelation amplitude may exceed 1 by it.
@@ -93,21 +100,19 @@ def _parse_levels(text: str, big_n: int):
     try:
         levels = [int(part) for part in text.split(",") if part]
     except ValueError:
-        raise ParameterError(f"--levels takes comma-separated integers, got {text!r}") from None
+        raise ValueError(f"--levels takes comma-separated integers, got {text!r}") from None
     if not levels or len(set(levels)) < len(levels):
-        raise ParameterError(f"--levels needs distinct levels, at least one, got {text!r}")
+        raise ValueError(f"--levels needs distinct levels, at least one, got {text!r}")
     if not all(1 <= level <= big_n for level in levels):
-        raise ParameterError(f"--levels needs levels >= 1 and <= N = {big_n}, got {text!r}")
+        raise ValueError(f"--levels needs levels >= 1 and <= N = {big_n}, got {text!r}")
     return levels
 
 
 def _qubit_space(args) -> IndexSpace:
-    """The register space of ``--n``, ``--w`` and ``--k``, refusing ``--n`` and ``--w``
-    by name (each command that reads ``--k`` has refused a negative one already)."""
+    """The register space of ``--n``, ``--w`` and ``--k``, refusing ``--n`` by name
+    (``_run`` has refused ``--w`` and each command that reads ``--k`` a bad one)."""
     if not 1 <= args.n <= MAX_QUBITS:
-        raise ParameterError(f"--n must lie in [1, {MAX_QUBITS}], got {args.n}")
-    if args.w < 0:
-        raise ParameterError(f"--w must be >= 0, got {args.w}")
+        raise ValueError(f"--n must lie in [1, {MAX_QUBITS}], got {args.n}")
     return IndexSpace.qubits(args.n, args.w, args.k)
 
 
@@ -118,18 +123,18 @@ def _restrictions(option, n):
     if option.startswith("random:"):
         fixed_prob = float(option.split(":", 1)[1])
         if not 0.0 <= fixed_prob <= 1.0:
-            raise ParameterError(f"random:p needs 0 <= p <= 1, got {fixed_prob}")
+            raise ValueError(f"random:p needs 0 <= p <= 1, got {fixed_prob}")
         return lambda rng: random_restriction(n, rng, star_prob=1.0 - fixed_prob)
     rho = Restriction.from_string(option)
     if len(rho) != n:
-        raise ParameterError(f"--restriction has length {len(rho)}, needs one per input ({n})")
+        raise ValueError(f"--restriction has length {len(rho)}, needs one per input ({n})")
     return lambda rng: rho
 
 
 def _finite(value: float, what: str) -> float:
     """An observation to certify: NaN or inf is an error, never a violation."""
     if not np.isfinite(value):
-        raise ValidationError(f"{what} is not finite: {value}")
+        raise ValueError(f"{what} is not finite: {value}")
     return value
 
 
@@ -141,11 +146,11 @@ def cmd_growth(args) -> int:
     name = args.model.upper().replace("-", "_")
     model = Model["DQCK" if name == "DQC1" else name]
     if name == "DQC1" and args.k not in (None, 1):
-        raise ParameterError(f"DQC1 has exactly one clean qubit, got --k {args.k}")
+        raise ValueError(f"DQC1 has exactly one clean qubit, got --k {args.k}")
     if model is Model.DQCK and args.k is not None and args.k < 1:
-        raise ParameterError(f"DQCK needs at least one clean qubit, got --k {args.k}")
+        raise ValueError(f"DQCK needs at least one clean qubit, got --k {args.k}")
     if model is not Model.DQCK and args.k is not None and args.k < 0:
-        raise ParameterError(f"--k must be >= 0, got {args.k}")
+        raise ValueError(f"--k must be >= 0, got {args.k}")
     args.k = (1 if args.k is None else args.k) if model is Model.DQCK else 0  # no effect on BQP
     space = _qubit_space(args)
     levels = _parse_levels(args.levels, space.oracle_dim)
@@ -193,15 +198,15 @@ def cmd_verify_decomposition(args) -> int:
 
 def cmd_forrelation(args) -> int:
     if not 1 <= args.n <= forrelation.FORR_MAX_N:
-        raise ParameterError(f"--n must lie in [1, {forrelation.FORR_MAX_N}], got {args.n}")
+        raise ValueError(f"--n must lie in [1, {forrelation.FORR_MAX_N}], got {args.n}")
     if args.k < 1:
-        raise ParameterError(f"--k must be >= 1, got {args.k}")
+        raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.eps is not None and not 0 < args.eps < np.inf:  # NaN fails too
-        raise ParameterError(f"--eps must be positive and finite, got {args.eps}")
+        raise ValueError(f"--eps must be positive and finite, got {args.eps}")
     rng = np.random.default_rng(args.seed)
     if args.eps is None:
         if args.n == 1:
-            raise ParameterError("--n 1 has no default --eps; pass one")
+            raise ValueError("--n 1 has no default --eps; pass one")
         args.eps = forrelation.default_eps(args.k, 1 << args.n)
     rows = []
     ok = True
@@ -211,7 +216,7 @@ def cmd_forrelation(args) -> int:
         inst = maker(args.k, args.n, rng)
         value = forrelation.forr(inst)
         ok &= abs(value) <= 1.0 + ZERO_TOL
-        rows.append((trial, kind, value, forrelation.classify(inst, args.eps).name))
+        rows.append((trial, kind, value, forrelation.classify(value, args.eps).name))
     header = ["id", "kind", "forr_value", "label"]
     return _report(args, {"rows": [dict(zip(header, r)) for r in rows], "pass": ok},
                    header, rows)
@@ -222,22 +227,25 @@ def cmd_tightness(args) -> int:
     sp = fourier.spectrum_of_algorithm(circuit.spec, circuit.rho, workers=args.workers)
     size = circuit.block_size
     d = circuit.num_blocks
-    magnitude = 1.0 / (2 * size * size ** (d / 2))
     expected_growth = forrelation.tightness_level_growth(args.n, args.d)
     got_growth = fourier.growth(sp, d)
     nonzero = np.flatnonzero(np.abs(sp.coeffs) > ZERO_TOL)
     nonzero = nonzero[nonzero != 0]  # the empty set carries the 1/2 offset
     count_ok = nonzero.size == size**d
-    magnitude_ok = bool(np.all(np.abs(np.abs(sp.coeffs[nonzero]) - magnitude) <= MATCH_TOL))
+    # each subset picking one index per block, against its signed prediction
+    picks = list(itertools.product(range(size), repeat=d))
+    masks = [sum(1 << (t * size + offset) for t, offset in enumerate(pick)) for pick in picks]
+    want = [forrelation.tightness_coefficient(circuit, pick) for pick in picks]
+    coeffs_ok = bool(np.all(np.abs(sp.coeffs[masks] - want) <= MATCH_TOL))
     growth_ok = abs(got_growth - expected_growth) <= MATCH_TOL
-    passed = bool(growth_ok and count_ok and magnitude_ok)
+    passed = bool(growth_ok and count_ok and coeffs_ok)
     code = _report(args, {
         "level": d,
         "growth": got_growth,
         "expected_growth": expected_growth,
         "nonzero_coefficients": int(nonzero.size),
         "expected_nonzero": size**d,
-        "coefficient_magnitude": magnitude,
+        "coefficient_magnitude": forrelation.tightness_coefficient(circuit, [0] * d),
         "pass": passed,
     })
     print(f"tightness n={args.n} d={args.d}: growth {got_growth:.12g} "
@@ -248,8 +256,7 @@ def cmd_tightness(args) -> int:
 
 def cmd_spectrum(args) -> int:
     if not args.spec:
-        print("spectrum: --spec is required", file=sys.stderr)
-        return _USAGE_EXIT
+        raise ValueError("--spec is required")
     spec, rho = load_spec(args.spec)
     if args.restriction:
         rho = _restrictions(args.restriction, spec.num_inputs)(np.random.default_rng(args.seed))
@@ -261,7 +268,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_reduce(args) -> int:
     if not 1 <= args.t < args.k:
-        raise ParameterError(f"need 1 <= t < k (k={args.k}), got t={args.t}")
+        raise ValueError(f"need 1 <= t < k (k={args.k}), got t={args.t}")
     rng = np.random.default_rng(args.seed)
     space = _qubit_space(args)
     check_table_size(space.oracle_dim)
@@ -287,7 +294,7 @@ def cmd_reduce(args) -> int:
 
 def cmd_hybrid_growth(args) -> int:
     if args.k < 1:
-        raise ParameterError(f"DQCK needs at least one clean qubit, got --k {args.k}")
+        raise ValueError(f"DQCK needs at least one clean qubit, got --k {args.k}")
     space = _qubit_space(args)
     levels = _parse_levels(args.levels, space.oracle_dim)
     ceilings = {level: bounds.hybrid_dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
@@ -405,19 +412,11 @@ def _run(argv) -> int:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:  # usage errors and --help: return the code, do not exit
         return exc.code
-    if args.workers < 1:
-        print(f"error: --workers must be >= 1, got {args.workers}", file=sys.stderr)
-        return _USAGE_EXIT
-    if args.seed < 0:
-        print(f"error: --seed must be >= 0, got {args.seed}", file=sys.stderr)
-        return _USAGE_EXIT
-    if getattr(args, "trials", 1) < 1:
-        print(f"error: --trials must be >= 1, got {args.trials}", file=sys.stderr)
-        return _USAGE_EXIT
-    if getattr(args, "d", 1) < 1:
-        print(f"error: --d must be >= 1, got {args.d}", file=sys.stderr)
-        return _USAGE_EXIT
     try:
+        for option, lowest in _LOWEST:
+            value = getattr(args, option, lowest)
+            if value < lowest:
+                raise ValueError(f"--{option} must be >= {lowest}, got {value}")
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource error: {exc}", file=sys.stderr)

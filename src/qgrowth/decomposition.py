@@ -29,13 +29,7 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    ResourceLimitError,
-    ShapeError,
-    SpecificationError,
-    ValidationError,
-)
+from .errors import ResourceLimitError
 from .linalg import (
     IMAG_TOL,
     IndexSpace,
@@ -86,31 +80,31 @@ class DecompositionSpec:
     def __post_init__(self):
         mats = tuple(np.asarray(u, dtype=complex) for u in self.matrices)
         if not mats:
-            raise SpecificationError("need at least one matrix")
+            raise ValueError("need at least one matrix")
         m = self.space.total_dim
         for idx, mat in enumerate(mats):
             if mat.shape != (m, m):
-                raise ShapeError(f"matrix {idx + 1} has shape {mat.shape}, expected ({m}, {m})")
+                raise ValueError(f"matrix {idx + 1} has shape {mat.shape}, expected ({m}, {m})")
             if not leq_tol(operator_norm(mat), 1.0):
-                raise ValidationError(f"matrix {idx + 1} has operator norm above 1")
+                raise ValueError(f"matrix {idx + 1} has operator norm above 1")
         tracked = self.space.oracle_dim if self.tracked is None else self.tracked
         if not 0 <= tracked <= self.space.oracle_dim:
-            raise ParameterError(f"tracked prefix must lie in [0, {self.space.oracle_dim}]")
+            raise ValueError(f"tracked prefix must lie in [0, {self.space.oracle_dim}]")
         d = len(mats)
         skip = frozenset(int(t) for t in self.parity_skip)
         if any(t < 1 or t > d for t in skip):
-            raise ParameterError("parity_skip positions must lie in [1, d]")
+            raise ValueError("parity_skip positions must lie in [1, d]")
         pairs = tuple((int(s), int(t)) for s, t in self.equality_pairs)
         mems = tuple(int(r) for r in self.memory_positions)
         for s, t in pairs:
             if not (2 <= s < t <= d):
-                raise ParameterError(f"equality pair ({s}, {t}) must satisfy 2 <= s < t <= d")
+                raise ValueError(f"equality pair ({s}, {t}) must satisfy 2 <= s < t <= d")
         for r in mems:
             if not 2 <= r <= d:
-                raise ParameterError(f"memory position {r} must lie in [2, d]")
+                raise ValueError(f"memory position {r} must lie in [2, d]")
         labels = [x for pair in pairs for x in pair] + list(mems)
         if len(labels) != len(set(labels)):
-            raise ValidationError("equality/memory position labels must all be distinct")
+            raise ValueError("equality/memory position labels must all be distinct")
         object.__setattr__(self, "matrices", mats)
         object.__setattr__(self, "tracked", tracked)
         object.__setattr__(self, "parity_skip", skip)
@@ -173,7 +167,7 @@ class AugmentedIndexer:
         a_digits = (0,) * self.p if a_digits is None else tuple(a_digits)
         b_digits = (0,) * self.q if b_digits is None else tuple(b_digits)
         if len(a_digits) != self.p or len(b_digits) != self.q:
-            raise ShapeError(f"register digits must have lengths ({self.p}, {self.q})")
+            raise ValueError(f"register digits must have lengths ({self.p}, {self.q})")
         return np.ravel_multi_index((index, s_mask, *a_digits, *b_digits), self.shape)
 
     def decode(self, flat):
@@ -321,7 +315,7 @@ def decompose(spec: DecompositionSpec) -> AugmentedMatrix:
     bounded by the smallest input Frobenius norm.
     """
     if spec.p or spec.q:
-        raise SpecificationError("decompose takes no equality/memory constraints")
+        raise ValueError("decompose takes no equality/memory constraints")
     return decompose_improved(spec)
 
 
@@ -362,7 +356,7 @@ def brute_force_entry(
         raise ResourceLimitError(f"brute force needs {m ** (d - 1)} paths, over guard")
     b_end = tuple(b_end)
     if len(b_end) != spec.q:
-        raise ShapeError(f"expected {spec.q} memory values, got {len(b_end)}")
+        raise ValueError(f"expected {spec.q} memory values, got {len(b_end)}")
     oracle_of = spec.space.oracle_parts()
     total = 0.0 + 0.0j
     for inner in iter_product(range(m), repeat=d - 1):
@@ -455,7 +449,10 @@ def verify(spec: DecompositionSpec) -> dict:
     cols = built.indexer.encode(
         np.arange(m)[:, None, None], np.arange(span_s)[:, None], b_digits=[v + 1 for v in b_values]
     )
-    got = built.free_start_block()[:, cols].reshape(m, span_s, m, span_s, span_b)
+    free = built.free_start_block()
+    block_frob = frobenius_norm(free[::span_s])  # rows (I, S = empty): the empty-start block
+    got = free[:, cols].reshape(m, span_s, m, span_s, span_b)
+    del free  # not held through the compare and the factor norms below
     # path parity s satisfies s_end = s1 ^ s
     xor = np.arange(span_s)[:, None] ^ np.arange(span_s)[None, :]
     want = bins[:, :, xor, :].transpose(0, 2, 1, 3, 4)
@@ -463,8 +460,6 @@ def verify(spec: DecompositionSpec) -> dict:
 
     factor_norms = built.factor_operator_norms()
     min_input_frob = min(frobenius_norm(u) for u in spec.matrices)
-    block = built.empty_start_block()
-    block_frob = frobenius_norm(block)
 
     report = {
         "depth": spec.depth,
@@ -561,7 +556,7 @@ def spectrum_via_decomposition(
     first index's own contribution.
     """
     if spec.model is not Model.DQCK:
-        raise SpecificationError("decomposition read-off applies to DQCK trace forms")
+        raise ValueError("decomposition read-off applies to DQCK trace forms")
     vs, free_count, _, _ = _fourier._restricted_chain(spec, rho)
     dspec = DecompositionSpec(
         space=spec.space,
@@ -578,5 +573,5 @@ def spectrum_via_decomposition(
     coeffs = dense[np.arange(m)[:, None], cols].sum(axis=0)
     coeffs /= spec.space.start_dim
     if np.max(np.abs(coeffs.imag)) > IMAG_TOL:
-        raise ValidationError("decomposition read-off produced non-real coefficients")
+        raise ValueError("decomposition read-off produced non-real coefficients")
     return _fourier.FourierSpectrum(free_count, coeffs.real)

@@ -1,24 +1,4 @@
-"""Exception types shared across the package."""
-
-
-class DimensionError(ValueError):
-    """A dimension or qubit count is outside its allowed range."""
-
-
-class ShapeError(ValueError):
-    """An array argument has the wrong shape or length."""
-
-
-class ValidationError(ValueError):
-    """An input object violates a stated precondition (norms, unitarity, ...)."""
-
-
-class ParameterError(ValueError):
-    """A scalar parameter is out of range for the requested operation."""
-
-
-class SpecificationError(ValueError):
-    """Mutually inconsistent or unsupported problem description."""
+"""The one exception type the package defines; every other refusal is a ``ValueError``."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .errors import ParameterError, ResourceLimitError, ShapeError, ValidationError
+from .errors import ResourceLimitError
 from .fourier import fwht
 from .linalg import MAX_QUBITS, IndexSpace, f2_inner, hadamard_matrix
 from .models import AlgorithmSpec, Model, Restriction, acceptance_direct
@@ -27,9 +27,9 @@ FORR_MAX_N = 12
 
 def _check_size(k: int, n: int) -> None:
     if k < 1:
-        raise ParameterError(f"fold count k must be >= 1, got {k}")
+        raise ValueError(f"fold count k must be >= 1, got {k}")
     if not 1 <= n <= FORR_MAX_N:
-        raise ParameterError(f"n must lie in [1, {FORR_MAX_N}], got {n}")
+        raise ValueError(f"n must lie in [1, {FORR_MAX_N}], got {n}")
 
 
 @dataclass(frozen=True)
@@ -44,11 +44,11 @@ class ForrelationInstance:
         _check_size(self.k, self.n)
         blocks = np.asarray(self.blocks, dtype=float)
         if blocks.shape != (self.k, 1 << self.n):
-            raise ShapeError(
+            raise ValueError(
                 f"blocks must have shape ({self.k}, {1 << self.n}), got {blocks.shape}"
             )
         if not np.all(np.abs(blocks) == 1.0):
-            raise ValidationError("block entries must be +/-1")
+            raise ValueError("block entries must be +/-1")
         object.__setattr__(self, "blocks", blocks)
 
 
@@ -80,12 +80,11 @@ class Label(Enum):
     GAP = 0
 
 
-def classify(inst: ForrelationInstance, eps: float) -> Label:
-    """Decision rule: -1 when the amplitude is >= 2*eps, +1 when <= eps,
-    GAP in between (the promise is violated)."""
+def classify(value: float, eps: float) -> Label:
+    """Decision rule on an amplitude ``value``: -1 when it is >= 2*eps, +1 when
+    <= eps, GAP in between (the promise is violated)."""
     if not eps > 0:  # NaN included
-        raise ParameterError(f"eps must be positive, got {eps}")
-    value = forr(inst)
+        raise ValueError(f"eps must be positive, got {eps}")
     if value >= 2 * eps:
         return Label.MINUS_ONE
     if value <= eps:
@@ -97,7 +96,7 @@ def default_eps(k: int, big_n: int) -> float:
     """(log2 N)^-k; the constant inside the problem's Theta(1/log^k N) is
     fixed to 1 by this artifact."""
     if big_n < 4:
-        raise ParameterError(f"N must be >= 4, got {big_n}")
+        raise ValueError(f"N must be >= 4, got {big_n}")
     return float(np.log2(big_n)) ** (-k)
 
 
@@ -150,7 +149,7 @@ def tightness_circuit(n: int, d: int) -> TraceCircuit:
     1 / (2N * N^(d/2)), so the level-d growth is N^(d/2 - 1) / 2.
     """
     if n < 1 or d < 1:
-        raise ParameterError(f"n and d must be >= 1, got n={n}, d={d}")
+        raise ValueError(f"n and d must be >= 1, got n={n}, d={d}")
     if d * (1 << n) > MAX_QUBITS:
         raise ResourceLimitError(
             f"tightness circuit needs a truth table over {d * (1 << n)} bits (cap {MAX_QUBITS})"

@@ -16,13 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    ResourceLimitError,
-    ShapeError,
-    SpecificationError,
-    ValidationError,
-)
+from .errors import ResourceLimitError
 from .linalg import IMAG_TOL, MAX_QUBITS, f2_inner
 from .models import AlgorithmSpec, Model, Restriction, truth_table
 
@@ -39,7 +33,7 @@ def fwht(values: np.ndarray) -> np.ndarray:
     src = np.array(values, dtype=float, copy=True)
     size = src.size
     if size & (size - 1):
-        raise ShapeError(f"transform length must be a power of two, got {size}")
+        raise ValueError(f"transform length must be a power of two, got {size}")
     dst = np.empty_like(src)
     width = 1
     while width < size:
@@ -69,7 +63,7 @@ class FourierSpectrum:
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs, dtype=float)
         if coeffs.shape != (1 << self.num_vars,):
-            raise ShapeError(
+            raise ValueError(
                 f"expected {1 << self.num_vars} coefficients, got shape {coeffs.shape}"
             )
         object.__setattr__(self, "coeffs", coeffs)
@@ -86,7 +80,7 @@ def spectrum_from_table(table: np.ndarray) -> FourierSpectrum:
     table = np.asarray(table, dtype=float)
     num_vars = int(table.size - 1).bit_length()
     if table.size != 1 << num_vars:
-        raise ShapeError(f"table length {table.size} is not a power of two")
+        raise ValueError(f"table length {table.size} is not a power of two")
     half = table.size // 2
     if half and np.array_equal(table[half:], table[:half][::-1]) and not np.signbit(table).any():
         lower = 2.0 * fwht(table[:half])
@@ -113,7 +107,7 @@ def restrict_spectrum(sp: FourierSpectrum, rho: Restriction) -> FourierSpectrum:
     i to r merges coefficient pairs as c[S] + r * c[S + {i}].
     """
     if len(rho) != sp.num_vars:
-        raise ShapeError(f"restriction length {len(rho)} != num_vars {sp.num_vars}")
+        raise ValueError(f"restriction length {len(rho)} != num_vars {sp.num_vars}")
     coeffs = sp.coeffs
     for coord in sorted(rho.fixed_indices.tolist(), reverse=True):
         value = float(rho.pattern[coord])
@@ -131,9 +125,7 @@ def embed_spectrum(sp: FourierSpectrum, rho: Restriction) -> FourierSpectrum:
     """
     free = rho.free_indices
     if sp.num_vars != free.size:
-        raise ShapeError(
-            f"spectrum has {sp.num_vars} variables, restriction frees {free.size}"
-        )
+        raise ValueError(f"spectrum has {sp.num_vars} variables, restriction frees {free.size}")
     if len(rho) > MAX_QUBITS:
         raise ResourceLimitError(f"embedding over {len(rho)} variables exceeds cap")
     coeffs = np.zeros(1 << len(rho))
@@ -147,7 +139,7 @@ def growth(sp: FourierSpectrum, level: int) -> float:
     Levels above num_vars have no subsets, so the sum is empty and zero.
     """
     if level < 0:
-        raise ParameterError(f"level must be nonnegative, got {level}")
+        raise ValueError(f"level must be nonnegative, got {level}")
     if level > sp.num_vars:
         return 0.0
     return float(np.sum(np.abs(sp.coeffs[_subset_sizes(sp.num_vars) == level])))
@@ -184,14 +176,14 @@ class SignFamily:
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=float)
         if gamma.shape != (self.num_vars,):
-            raise ShapeError("gamma vector length must equal num_vars")
+            raise ValueError("gamma vector length must equal num_vars")
         if not np.all(np.abs(gamma) <= 1 + GAMMA_SLACK):  # NaN included
-            raise ValidationError("gamma entries must lie in [-1, 1]")
+            raise ValueError("gamma entries must lie in [-1, 1]")
         if self.num_vars % 3:
-            raise SpecificationError("structured sign families need num_vars divisible by 3")
+            raise ValueError("structured sign families need num_vars divisible by 3")
         want = 3 if self.kind is SignKind.ALPHA_GAMMA else 6
         if self.level != want:
-            raise SpecificationError(f"{self.kind.value} requires level {want}")
+            raise ValueError(f"{self.kind.value} requires level {want}")
         object.__setattr__(self, "gamma", gamma)
 
     @cached_property
@@ -229,7 +221,7 @@ def _alpha_tensor(gamma: np.ndarray) -> np.ndarray:
 def signed_growth(sp: FourierSpectrum, signs: SignFamily) -> float:
     """sum over level-`signs.level` subsets of sign(S) * coeff(S)."""
     if signs.num_vars != sp.num_vars:
-        raise SpecificationError(
+        raise ValueError(
             f"sign family is over {signs.num_vars} variables, spectrum over {sp.num_vars}"
         )
     masks, weights = signs.table
@@ -252,7 +244,7 @@ def _restricted_chain(spec: AlgorithmSpec, rho: Optional[Restriction]):
     if rho is None:
         rho = Restriction.all_free(n)
     if len(rho) != n:
-        raise ShapeError(f"restriction length {len(rho)} != input length {n}")
+        raise ValueError(f"restriction length {len(rho)} != input length {n}")
     order = np.concatenate([rho.free_indices, rho.fixed_indices])
     wk = spec.space.work_dim * spec.space.clean_dim
     flats = np.arange(spec.space.total_dim)
@@ -341,7 +333,7 @@ def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
     elif spec.model is Model.HALF_BQP:
         bins /= m
     if np.max(np.abs(bins.imag)) > IMAG_TOL:
-        raise ValidationError("direct coefficient sums came out non-real")
+        raise ValueError("direct coefficient sums came out non-real")
     return bins.real
 
 
@@ -378,14 +370,14 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     coefficient does not depend on which slot holds which letter.
     """
     if spec.model is not Model.HALF_BQP:
-        raise SpecificationError("level-3 block tensor applies to HALF_BQP algorithms")
+        raise ValueError("level-3 block tensor applies to HALF_BQP algorithms")
     if spec.d != 2:
-        raise SpecificationError("level-3 block tensor is implemented for d = 2")
+        raise ValueError("level-3 block tensor is implemented for d = 2")
     n = spec.num_inputs
     if n % 3:
-        raise SpecificationError("three-block structure needs input length divisible by 3")
+        raise ValueError("three-block structure needs input length divisible by 3")
     if len(rho) != n:
-        raise ShapeError("restriction length mismatch")
+        raise ValueError("restriction length mismatch")
     m = spec.space.total_dim
     wk = m // n
     fixed = np.repeat(rho.pattern.astype(float), wk)[:, None]  # rho_j on fixed rows, 0 on free

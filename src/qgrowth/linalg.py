@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionError, ShapeError
 
 #: Hard cap on qubit counts so 2**N truth tables stay addressable downstream.
 MAX_QUBITS = 20
@@ -53,19 +52,19 @@ class IndexSpace:
 
     def __post_init__(self):
         if self.oracle_dim < 2:
-            raise DimensionError(f"oracle register needs dimension >= 2, got {self.oracle_dim}")
+            raise ValueError(f"oracle register needs dimension >= 2, got {self.oracle_dim}")
         if self.work_dim < 1 or self.clean_dim < 1:
-            raise DimensionError("workspace/clean register dimensions must be >= 1")
+            raise ValueError("workspace/clean register dimensions must be >= 1")
 
     @classmethod
     def qubits(cls, n: int, w: int = 0, k: int = 0) -> "IndexSpace":
         """Build a space from qubit counts: N=2^n, W=2^w, K=2^k."""
         if not 1 <= n <= MAX_QUBITS:
-            raise DimensionError(f"oracle qubit count must be in [1, {MAX_QUBITS}], got {n}")
+            raise ValueError(f"oracle qubit count must be in [1, {MAX_QUBITS}], got {n}")
         if w < 0 or k < 0:
-            raise DimensionError("workspace/clean qubit counts must be >= 0")
+            raise ValueError("workspace/clean qubit counts must be >= 0")
         if n + w + k > MAX_QUBITS:
-            raise DimensionError(f"total qubit count {n + w + k} exceeds cap {MAX_QUBITS}")
+            raise ValueError(f"total qubit count {n + w + k} exceeds cap {MAX_QUBITS}")
         return cls(1 << n, 1 << w, 1 << k)
 
     @property
@@ -99,15 +98,11 @@ def hadamard_matrix(n: int) -> np.ndarray:
     Entry (i, j) is ``(-1)^<i,j>_2 / sqrt(N)``; equals the n-fold tensor power
     of ``[[1, 1], [1, -1]] / sqrt(2)``.
     """
-    return sign_hadamard(n) / np.sqrt(1 << n)
-
-
-def sign_hadamard(n: int) -> np.ndarray:
-    """The +/-1 sign pattern of the Hadamard matrix: entry (i,j) = (-1)^<i,j>_2."""
     if not 1 <= n <= MAX_QUBITS:
-        raise DimensionError(f"Hadamard order n must be in [1, {MAX_QUBITS}], got {n}")
-    idx = np.arange(1 << n)
-    return np.where(f2_inner(idx[:, None], idx), -1, 1)
+        raise ValueError(f"Hadamard order n must be in [1, {MAX_QUBITS}], got {n}")
+    scale = 1 / np.sqrt(1 << n)
+    idx = np.arange(1 << n, dtype=np.uint32)
+    return np.where(f2_inner(idx[:, None], idx), -scale, scale)
 
 
 def operator_norm(a: np.ndarray) -> float:
@@ -127,7 +122,7 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     that makes the distribution exactly Haar.
     """
     if dim < 1:
-        raise DimensionError(f"random_unitary: dim must be >= 1, got {dim}")
+        raise ValueError(f"random_unitary: dim must be >= 1, got {dim}")
     rng = np.random.default_rng(seed)
     z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))) / np.sqrt(2.0)
     q, r = np.linalg.qr(z)
@@ -140,9 +135,7 @@ def phase_vector(x: np.ndarray, space: IndexSpace) -> np.ndarray:
     """Diagonal of the phase oracle as a length-M vector (entry x_i at (i,w,c))."""
     x = np.asarray(x, dtype=float)
     if x.shape != (space.oracle_dim,):
-        raise ShapeError(
-            f"phase oracle input has length {x.shape}, expected ({space.oracle_dim},)"
-        )
+        raise ValueError(f"phase oracle input has length {x.shape}, expected ({space.oracle_dim},)")
     return np.repeat(x, space.work_dim * space.clean_dim)
 
 

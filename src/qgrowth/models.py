@@ -41,13 +41,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import (
-    ParameterError,
-    ResourceLimitError,
-    ShapeError,
-    SpecificationError,
-    ValidationError,
-)
+from .errors import ResourceLimitError
 from .linalg import (
     IMAG_TOL,
     MAX_QUBITS,
@@ -77,9 +71,9 @@ class Restriction:
     def __post_init__(self):
         pattern = np.asarray(self.pattern, dtype=np.int8)
         if pattern.ndim != 1:
-            raise ShapeError("restriction pattern must be one-dimensional")
+            raise ValueError("restriction pattern must be one-dimensional")
         if not np.all(np.isin(pattern, (-1, 0, 1))):
-            raise ValidationError("restriction entries must be -1, 0 (star) or +1")
+            raise ValueError("restriction entries must be -1, 0 (star) or +1")
         object.__setattr__(self, "pattern", pattern)
 
     @classmethod
@@ -92,7 +86,7 @@ class Restriction:
         try:
             return cls(np.array([table[ch] for ch in text], dtype=np.int8))
         except KeyError as exc:
-            raise ValidationError(f"restriction strings use '+-*' only, got {exc}") from exc
+            raise ValueError(f"restriction strings use '+-*' only, got {exc}") from exc
 
     def to_string(self) -> str:
         return "".join({1: "+", -1: "-", 0: "*"}[int(v)] for v in self.pattern)
@@ -137,25 +131,25 @@ class AlgorithmSpec:
 
     def __post_init__(self):
         if self.d < 1:
-            raise ParameterError(f"query count d must be >= 1, got {self.d}")
+            raise ValueError(f"query count d must be >= 1, got {self.d}")
         m = self.space.total_dim
         gates = tuple(np.array(u, dtype=complex) for u in self.unitaries)
         if len(gates) != self.d + 1:
-            raise ValidationError(f"expected {self.d + 1} gates, got {len(gates)}")
+            raise ValueError(f"expected {self.d + 1} gates, got {len(gates)}")
         for idx, gate in enumerate(gates):
             if gate.shape != (m, m):
-                raise ShapeError(f"gate {idx} has shape {gate.shape}, expected ({m}, {m})")
+                raise ValueError(f"gate {idx} has shape {gate.shape}, expected ({m}, {m})")
             if not is_unitary(gate):
-                raise ValidationError(f"gate {idx} is not unitary within tolerance")
+                raise ValueError(f"gate {idx} is not unitary within tolerance")
         if self.model is Model.DQCK:
             if self.space.clean_dim < 2:
-                raise ValidationError("DQCK needs at least one clean qubit (clean_dim >= 2)")
+                raise ValueError("DQCK needs at least one clean qubit (clean_dim >= 2)")
         elif self.space.clean_dim != 1:
-            raise ValidationError(f"{self.model.value} uses no clean register (clean_dim == 1)")
+            raise ValueError(f"{self.model.value} uses no clean register (clean_dim == 1)")
         accept = np.array(self.accept, dtype=bool)
         want = (m, m) if self.model is Model.HALF_BQP else (m,)
         if accept.shape != want:
-            raise ShapeError(f"accept mask has shape {accept.shape}, expected {want}")
+            raise ValueError(f"accept mask has shape {accept.shape}, expected {want}")
         for array in gates + (accept,):
             array.setflags(write=False)
         object.__setattr__(self, "unitaries", gates)
@@ -233,14 +227,14 @@ class AlgorithmSpec:
 
 def _real(value: complex, what: str) -> float:
     if abs(value.imag) > IMAG_TOL:
-        raise ValidationError(f"{what} has non-negligible imaginary part {value.imag:g}")
+        raise ValueError(f"{what} has non-negligible imaginary part {value.imag:g}")
     return float(value.real)
 
 
 def acceptance_direct(spec: AlgorithmSpec, x: np.ndarray) -> float:
     """Acceptance probability by state-vector simulation, a batch of one."""
     x = np.asarray(x, dtype=float)
-    phase_vector(x, spec.space)  # raises ShapeError on a wrong input length
+    phase_vector(x, spec.space)  # raises ValueError on a wrong input length
     return float(_table_chunk(spec, x[None, :])[0])
 
 
@@ -339,7 +333,7 @@ def truth_table(
     if rho is None:
         rho = Restriction.all_free(n)
     if len(rho) != n:
-        raise ShapeError(f"restriction length {len(rho)} != input length {n}")
+        raise ValueError(f"restriction length {len(rho)} != input length {n}")
     free = rho.free_indices.size
     check_table_size(free)
     size = 1 << free
@@ -372,7 +366,7 @@ def truth_table(
 def _log2_exact(value: int, what: str) -> int:
     bits = value.bit_length() - 1
     if value <= 0 or (1 << bits) != value:
-        raise ParameterError(f"{what} must be a power of two, got {value}")
+        raise ValueError(f"{what} must be a power of two, got {value}")
     return bits
 
 
@@ -387,10 +381,10 @@ def reduce_clean_qubits(spec: AlgorithmSpec, t: int) -> AlgorithmSpec:
     the output bias is 2^-(t+1) times the input bias.
     """
     if spec.model is not Model.DQCK:
-        raise SpecificationError("clean-qubit reduction applies to DQCK algorithms")
+        raise ValueError("clean-qubit reduction applies to DQCK algorithms")
     k = _log2_exact(spec.space.clean_dim, "clean register dimension")
     if not 1 <= t < k:
-        raise ParameterError(f"need 1 <= t < k (k={k}), got t={t}")
+        raise ValueError(f"need 1 <= t < k (k={k}), got t={t}")
 
     n_dim = spec.space.oracle_dim
     w_dim = spec.space.work_dim
@@ -450,10 +444,10 @@ class HybridSpec:
         ref = self.leaf_algorithms[0]
         for leaf, path in self.leaf_paths():
             if leaf.model is not ref.model or leaf.space != ref.space or leaf.d != ref.d:
-                raise SpecificationError("leaf algorithms must share model, space and d")
+                raise ValueError("leaf algorithms must share model, space and d")
             coords = [c for c, _ in path]
             if len(coords) != len(set(coords)):
-                raise SpecificationError("a root-to-leaf path queries a coordinate twice")
+                raise ValueError("a root-to-leaf path queries a coordinate twice")
 
     @cached_property
     def leaf_algorithms(self) -> tuple:
@@ -542,7 +536,7 @@ def random_hybrid(
 ) -> HybridSpec:
     """Random decision tree of the given depth with random leaf algorithms."""
     if depth < 0 or depth > d:
-        raise ParameterError("hybrid tree depth must lie in [0, d]")
+        raise ValueError("hybrid tree depth must lie in [0, d]")
 
     def build(level: int, used: tuple) -> Union[Query, AlgorithmSpec]:
         if level == 0:
@@ -567,15 +561,15 @@ def _gate_from_json(doc: dict, m: int) -> np.ndarray:
         return hadamard_matrix(bits).astype(complex)
     if kind == "haar":
         if "seed" not in doc:
-            raise SpecificationError("haar gate needs a 'seed'")
+            raise ValueError("haar gate needs a 'seed'")
         return random_unitary(m, int(doc["seed"]))
     if kind == "explicit":
         rows = doc["rows"]
         mat = np.array([[complex(re, im) for re, im in row] for row in rows])
         if mat.shape != (m, m):
-            raise ShapeError(f"explicit gate has shape {mat.shape}, expected ({m}, {m})")
+            raise ValueError(f"explicit gate has shape {mat.shape}, expected ({m}, {m})")
         return mat
-    raise SpecificationError(f"unknown gate kind {kind!r}")
+    raise ValueError(f"unknown gate kind {kind!r}")
 
 
 def spec_from_json(doc: dict):
@@ -585,15 +579,15 @@ def spec_from_json(doc: dict):
     accepting set is an M x M matrix of JSON integers 0 or 1.
     """
     if not isinstance(doc, dict):
-        raise SpecificationError("spec document must be a JSON object")
+        raise ValueError("spec document must be a JSON object")
     missing = [key for key in ("model", "n", "d", "unitaries", "accept") if key not in doc]
     if missing:
-        raise SpecificationError(f"spec document lacks required keys: {', '.join(missing)}")
+        raise ValueError(f"spec document lacks required keys: {', '.join(missing)}")
     model = Model(doc["model"].upper().replace("-", "_"))
     for key in ("n", "w", "k", "d"):
         value, low = doc.get(key, 0), int(key in "nd")
         if type(value) is not int or value < low:  # JSON 1.7 and true are no sizes
-            raise ParameterError(f"spec {key!r} must be an integer >= {low}, got {value!r}")
+            raise ValueError(f"spec {key!r} must be an integer >= {low}, got {value!r}")
     space = IndexSpace.qubits(doc["n"], doc.get("w", 0), doc.get("k", 0))
     m = space.total_dim
     gates = tuple(_gate_from_json(g, m) for g in doc["unitaries"])
@@ -604,12 +598,12 @@ def spec_from_json(doc: dict):
             and all(type(v) is int and v in (0, 1) for v in row)  # JSON 0.7 and true are no bits
             for row in rows
         )):
-            raise ParameterError(f"HALF_BQP accept must be an {m}x{m} matrix of integers 0 or 1")
+            raise ValueError(f"HALF_BQP accept must be an {m}x{m} matrix of integers 0 or 1")
         accept = np.array(rows, dtype=bool)
     else:
         outcomes = list(doc["accept"])
         if not all(type(v) is int and 0 <= v < m for v in outcomes):  # JSON true is no index
-            raise ParameterError(f"accept entries must be integers in [0, {m})")
+            raise ValueError(f"accept entries must be integers in [0, {m})")
         accept = np.zeros(m, dtype=bool)
         accept[outcomes] = True
     spec = AlgorithmSpec(model, space, doc["d"], gates, accept)
@@ -617,7 +611,7 @@ def spec_from_json(doc: dict):
     if doc.get("restriction"):
         rho = Restriction.from_string(doc["restriction"])
         if len(rho) != space.oracle_dim:
-            raise ShapeError("restriction length must match the oracle register dimension")
+            raise ValueError("restriction length must match the oracle register dimension")
     return spec, rho
 
 

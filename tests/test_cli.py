@@ -1,4 +1,5 @@
 import ast
+import builtins
 import importlib
 import json
 import os
@@ -102,6 +103,27 @@ def test_tightness_command(tmp_path, capsys):
     assert doc["pass"] is True
     assert doc["nonzero_coefficients"] == 4
     assert "PASS" in capsys.readouterr().err
+
+
+def test_tightness_checks_coefficient_signs(monkeypatch, tmp_path):
+    # negating one coefficient keeps every magnitude, the count and the growth
+    real = fourier.spectrum_of_algorithm
+
+    def one_sign_flipped(*args, **kwargs):
+        sp = real(*args, **kwargs)
+        coeffs = sp.coeffs.copy()
+        coeffs[np.flatnonzero(np.abs(coeffs) > cli.ZERO_TOL)[-1]] *= -1
+        return fourier.FourierSpectrum(sp.num_vars, coeffs)
+
+    argv = ["tightness", "--n", "1", "--d", "2", "--workers", "1", "--out"]
+    assert main(argv + [str(tmp_path / "real.json")]) == 0
+    monkeypatch.setattr(fourier, "spectrum_of_algorithm", one_sign_flipped)
+    out = tmp_path / "flipped.json"
+    assert main(argv + [str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert doc["nonzero_coefficients"] == doc["expected_nonzero"]
+    assert abs(doc["growth"] - doc["expected_growth"]) <= cli.MATCH_TOL
 
 
 def test_tightness_resource_error():
@@ -285,6 +307,7 @@ def no_draws(monkeypatch):
     (["forrelation", "--eps", "-1"], "--eps must be positive and finite, got -1.0"),
     (["forrelation", "--eps", "nan"], "--eps must be positive and finite, got nan"),
     (["forrelation", "--eps", "inf"], "--eps must be positive and finite, got inf"),
+    (["spectrum"], "error: --spec is required"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
@@ -297,12 +320,13 @@ def no_draws(monkeypatch):
         "hybrid-k-minus-1", "reduce-k-minus-1", "growth-dqc1-k-3", "growth-dqc1-k-0",
         "growth-bqp-k-minus-1", "growth-half-bqp-k-minus-2", "forrelation-k-0",
         "forrelation-k-minus-3", "forrelation-eps-0", "forrelation-eps-minus-1",
-        "forrelation-eps-nan", "forrelation-eps-inf"])
+        "forrelation-eps-nan", "forrelation-eps-inf", "spectrum-no-spec"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
+    assert err.startswith(("error: ", "resource error: "))  # the one handler in cli._run
     assert words in err
     assert no_draws == []
     assert not out.exists()
@@ -462,6 +486,24 @@ def test_forrelation_eps_must_be_positive(eps, tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
     assert "eps must be positive" in err
     assert not out.exists()
+
+
+def test_resource_limit_error_is_the_only_exception_class():
+    # every other refusal is a plain ValueError: cli._run tells only these two apart
+    classes = {}
+    for path in sorted(ROOT.glob("src/qgrowth/*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                classes[(path.stem, node.name)] = {
+                    base.id if isinstance(base, ast.Name) else getattr(base, "attr", None)
+                    for base in node.bases}
+    names = {name for name, value in vars(builtins).items()
+             if isinstance(value, type) and issubclass(value, BaseException)}
+    found = set()
+    for _ in classes:  # each pass reaches one more level of subclassing
+        found |= {key for key, bases in classes.items() if bases & names}
+        names |= {name for _, name in found}
+    assert found == {("errors", "ResourceLimitError")}
 
 
 def _perfbench_references():

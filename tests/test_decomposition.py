@@ -17,12 +17,7 @@ from qgrowth.decomposition import (
     spectrum_via_decomposition,
     verify,
 )
-from qgrowth.errors import (
-    ParameterError,
-    ResourceLimitError,
-    SpecificationError,
-    ValidationError,
-)
+from qgrowth.errors import ResourceLimitError
 from qgrowth.linalg import (
     IndexSpace,
     frobenius_norm,
@@ -250,13 +245,13 @@ def test_verify_identities_and_norm_precondition():
     report = verify(spec)
     assert report["pass"]
     assert report["max_entry_deviation"] == 0.0
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="operator norm above 1"):
         DecompositionSpec(IndexSpace(2, 1, 1), (1.5 * np.eye(2),), tracked=1)
 
 
 def test_validation_of_constraint_labels():
     mats = _unitaries(2, 4, 80)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match="labels must all be distinct"):
         DecompositionSpec(
             IndexSpace(2, 1, 1),
             mats,
@@ -264,11 +259,11 @@ def test_validation_of_constraint_labels():
             equality_pairs=((2, 3),),
             memory_positions=(3,),
         )
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match=r"equality pair \(3, 2\) must satisfy"):
         DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, equality_pairs=((3, 2),))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match=r"memory position 1 must lie in \[2, d\]"):
         DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, memory_positions=(1,))
-    with pytest.raises(SpecificationError):
+    with pytest.raises(ValueError, match="decompose takes no equality/memory constraints"):
         decompose(
             DecompositionSpec(
                 IndexSpace(2, 1, 1), mats, tracked=1, memory_positions=(2,)
@@ -391,5 +386,5 @@ def test_spectrum_via_decomposition_on_tightness_circuit():
 def test_spectrum_via_decomposition_rejects_other_models():
     rng = np.random.default_rng(98)
     spec = random_spec(Model.BQP, IndexSpace.qubits(1), 1, rng)
-    with pytest.raises(SpecificationError):
+    with pytest.raises(ValueError, match="applies to DQCK trace forms"):
         spectrum_via_decomposition(spec)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from qgrowth import forrelation
-from qgrowth.errors import ParameterError, ResourceLimitError, ShapeError
+from qgrowth.errors import ResourceLimitError
 from qgrowth.forrelation import (
     ForrelationInstance,
     Label,
@@ -76,24 +76,25 @@ def test_forr_magnitude_bounded():
 
 
 def test_instance_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"blocks must have shape \(2, 2\), got \(1, 2\)"):
         ForrelationInstance(2, 1, np.ones((1, 2)))
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match="fold count k must be >= 1, got 0"):
         ForrelationInstance(0, 1, np.ones((0, 2)))
 
 
 def test_classify_thresholds():
-    plus = ForrelationInstance(1, 1, np.array([[1.0, -1.0]]))   # forr = 0
+    plus = forr(ForrelationInstance(1, 1, np.array([[1.0, -1.0]])))   # forr = 0
     assert classify(plus, 0.25) is Label.PLUS_ONE
-    minus = ForrelationInstance(1, 1, np.ones((1, 2)))          # forr = 1
+    minus = forr(ForrelationInstance(1, 1, np.ones((1, 2))))          # forr = 1
     assert classify(minus, 0.1) is Label.MINUS_ONE
     # a value strictly between eps and 2 eps violates the promise
-    gap = ForrelationInstance(2, 1, np.array([[1.0, 1.0], [1.0, -1.0]]))
-    value = forr(gap)
-    assert classify(gap, value / 1.5) is Label.GAP
-    with pytest.raises(ParameterError):
+    value = forr(ForrelationInstance(2, 1, np.array([[1.0, 1.0], [1.0, -1.0]])))
+    assert classify(value, value / 1.5) is Label.GAP
+    assert classify(0.25, 0.125) is Label.MINUS_ONE   # each threshold is inclusive
+    assert classify(0.125, 0.125) is Label.PLUS_ONE
+    with pytest.raises(ValueError, match="eps must be positive, got 0.0"):
         classify(plus, 0.0)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match="eps must be positive, got nan"):
         classify(plus, float("nan"))   # every comparison is false: all GAP
 
 
@@ -101,7 +102,7 @@ def test_default_eps_values():
     assert default_eps(2, 16) == pytest.approx(1 / 16)
     assert default_eps(1, 4) == pytest.approx(1 / 2)
     assert default_eps(3, 8) == pytest.approx(1 / 27)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match="N must be >= 4, got 2"):
         default_eps(1, 2)
 
 
@@ -189,7 +190,7 @@ def test_tightness_guard_trips_before_building(monkeypatch):
     with pytest.raises(ResourceLimitError, match="4096 bits"):
         tightness_circuit(12, 1)
     for n, d in [(0, 1), (1, 0), (-1, 2)]:
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValueError, match="n and d must be >= 1"):
             tightness_circuit(n, d)
 
 

@@ -7,13 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrowth.cli import main
-from qgrowth.errors import (
-    ParameterError,
-    ResourceLimitError,
-    ShapeError,
-    SpecificationError,
-    ValidationError,
-)
+from qgrowth.errors import ResourceLimitError
 from qgrowth.fourier import (
     FourierSpectrum,
     SignFamily,
@@ -110,7 +104,7 @@ def test_growth_examples():
     sp = _table_spectrum(lambda x: x[0] * x[1], 4)
     assert growth(sp, 2) == pytest.approx(1.0)
     assert growth(sp, 7) == 0.0      # no subsets above num_vars
-    with pytest.raises(ParameterError):
+    with pytest.raises(ValueError, match="level must be nonnegative, got -1"):
         growth(sp, -1)
 
 
@@ -205,16 +199,16 @@ def test_structured_signs_match_per_subset_loop(block, seed):
 
 
 def test_sign_family_validation():
-    with pytest.raises(SpecificationError):
+    with pytest.raises(ValueError, match="num_vars divisible by 3"):
         SignFamily(SignKind.ALPHA_GAMMA, 3, 8, gamma=np.ones(8))   # not divisible by 3
-    with pytest.raises(SpecificationError):
+    with pytest.raises(ValueError, match="alpha_gamma requires level 3"):
         SignFamily(SignKind.ALPHA_GAMMA, 2, 12, gamma=np.ones(12))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match=r"gamma entries must lie in \[-1, 1\]"):
         SignFamily(SignKind.BETA_GAMMA, 6, 12, gamma=2 * np.ones(12))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match=r"gamma entries must lie in \[-1, 1\]"):
         SignFamily(SignKind.ALPHA_GAMMA, 3, 3, gamma=np.array([np.nan, 1.0, 1.0]))
     sp = _table_spectrum(lambda x: x[0], 3)
-    with pytest.raises(SpecificationError):
+    with pytest.raises(ValueError, match="sign family is over 6 variables, spectrum over 3"):
         signed_growth(sp, SignFamily(SignKind.ALPHA_GAMMA, 3, 6, gamma=np.ones(6)))
 
 
@@ -411,14 +405,14 @@ def test_hbqp_block_tensor_validation():
     rng = np.random.default_rng(53)
     space = IndexSpace(6, 1, 1)
     free = Restriction.all_free(6)
-    with pytest.raises(SpecificationError, match="HALF_BQP"):
+    with pytest.raises(ValueError, match="HALF_BQP"):
         hbqp_level3_block_tensor(random_spec(Model.BQP, space, 2, rng), free)
-    with pytest.raises(SpecificationError, match="d = 2"):
+    with pytest.raises(ValueError, match="d = 2"):
         hbqp_level3_block_tensor(random_spec(Model.HALF_BQP, space, 3, rng), free)
-    with pytest.raises(SpecificationError, match="divisible by 3"):
+    with pytest.raises(ValueError, match="divisible by 3"):
         hbqp_level3_block_tensor(random_spec(Model.HALF_BQP, IndexSpace(4, 1, 1), 2, rng),
                                  Restriction.all_free(4))
-    with pytest.raises(ShapeError, match="restriction length"):
+    with pytest.raises(ValueError, match="restriction length"):
         hbqp_level3_block_tensor(random_spec(Model.HALF_BQP, space, 2, rng),
                                  Restriction.all_free(5))
 
@@ -451,9 +445,9 @@ def test_hbqp_alpha_signed_growth_block_of_three():
 def test_hbqp_alpha_signed_growth_validates_gamma():
     spec = random_spec(Model.HALF_BQP, IndexSpace(6, 1, 1), 2, np.random.default_rng(53))
     rho = Restriction.all_free(6)
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValueError, match=r"gamma entries must lie in \[-1, 1\]"):
         hbqp_alpha_signed_growth(spec, rho, np.full(6, 1.5))
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="gamma vector length must equal num_vars"):
         hbqp_alpha_signed_growth(spec, rho, np.ones(5))
 
 
@@ -477,7 +471,7 @@ def test_spectrum_exports(tmp_path):
 
 
 def test_fwht_rejects_bad_length():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match="transform length must be a power of two, got 6"):
         fwht(np.ones(6))
 
 

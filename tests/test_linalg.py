@@ -1,9 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgrowth.errors import DimensionError, ShapeError
 from qgrowth.linalg import (
     IndexSpace,
     f2_inner,
@@ -13,7 +14,6 @@ from qgrowth.linalg import (
     operator_norm,
     phase_vector,
     random_unitary,
-    sign_hadamard,
 )
 
 
@@ -41,15 +41,27 @@ def test_hadamard_unitary(n):
 
 @pytest.mark.parametrize("n", [0, -1, 21])
 def test_hadamard_dimension_errors(n):
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"Hadamard order n must be in \[1, 20\]"):
         hadamard_matrix(n)
 
 
 def test_sign_hadamard_matches_matrix():
-    n = 3
-    assert np.array_equal(
-        sign_hadamard(n), np.sign(hadamard_matrix(n)).astype(np.int64)
-    )
+    # bit for bit the integer sign matrix divided by sqrt(N), signed zeros included
+    for n in range(1, 11):
+        idx = np.arange(1 << n)
+        want = np.where(f2_inner(idx[:, None], idx), -1, 1) / np.sqrt(1 << n)
+        got = hadamard_matrix(n)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+    # built in one float pass: no integer N x N sign matrix alongside the result
+    tracemalloc.start()
+    try:
+        got = hadamard_matrix(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * got.nbytes
 
 
 def test_f2_inner_examples():
@@ -99,7 +111,7 @@ def test_random_unitary_residual(dim):
 
 
 def test_random_unitary_zero_dim_rejected():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="dim must be >= 1, got 0"):
         random_unitary(0, 1)
 
 
@@ -118,7 +130,7 @@ def test_phase_oracle_small_cases():
 
 
 def test_phase_oracle_shape_error():
-    with pytest.raises(ShapeError):
+    with pytest.raises(ValueError, match=r"phase oracle input has length \(3,\)"):
         phase_vector(np.ones(3), IndexSpace.qubits(1))
 
 
@@ -157,13 +169,13 @@ def test_index_space_codec():
 
 
 def test_index_space_validation():
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"oracle qubit count must be in \[1, 20\], got 0"):
         IndexSpace.qubits(0)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match=r"oracle qubit count must be in \[1, 20\], got 21"):
         IndexSpace.qubits(21)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="workspace/clean qubit counts must be >= 0"):
         IndexSpace.qubits(2, -1)
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="oracle register needs dimension >= 2, got 1"):
         IndexSpace(1)
     # raw dimensions (block-embedded registers) are allowed
     assert IndexSpace(12, 1, 2).total_dim == 24
