@@ -91,8 +91,25 @@ def _report(args, payload: dict, header=None, rows=None) -> int:
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     else:
-        sys.stdout.write(text)
+        _write_stdout(text)
     return 0 if payload.get("pass", True) else _VIOLATION_EXIT
+
+
+def _write_stdout(text: str) -> None:
+    """Write ``text`` to stdout in full.
+
+    Unbuffered (``python -u``, ``PYTHONUNBUFFERED``), ``sys.stdout`` drops what a
+    short write leaves, and a pipe whose reader leaves mid-write gives one; writing
+    the rest until none remains turns that reader's exit into a ``BrokenPipeError``.
+    """
+    buffer = getattr(sys.stdout, "buffer", None)
+    if buffer is None:
+        sys.stdout.write(text)
+        return
+    sys.stdout.flush()
+    data = memoryview(text.encode(sys.stdout.encoding, sys.stdout.errors))
+    while data:
+        data = data[buffer.write(data):]
 
 
 def _parse_levels(text: str, big_n: int):

@@ -428,11 +428,14 @@ def test_growth_echoes_the_clean_qubits_its_model_uses(model, k, echoed, tmp_pat
 
 @pytest.mark.parametrize("closed", ["stderr", "stdout", "merged"])
 def test_closed_pipe_exits_2_without_traceback(closed):
-    # exit 1 means a violated bound; a reader that left is an I/O error.  The
-    # merged reader takes the first line, then leaves.
+    # exit 1 means a violated bound; a reader that left is an I/O error.  growth
+    # writes a note to stderr.  The merged reader takes the first line, then
+    # leaves; forrelation writes about 200 KB there, past a pipe's 64 KiB, so it is
+    # still writing when that reader leaves.
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    argv = [sys.executable, "-m", "qgrowth", "growth", "--model", "bqp", "--trials", "1",
-            "--workers", "1"]
+    command = (["forrelation", "--n", "3", "--trials", "5000"] if closed == "merged"
+               else ["growth", "--model", "bqp", "--trials", "1"])
+    argv = [sys.executable, "-m", "qgrowth", *command, "--workers", "1"]
     err = subprocess.STDOUT if closed == "merged" else subprocess.PIPE
     with subprocess.Popen(argv, env=dict(os.environ, PYTHONPATH=path),
                           stdout=subprocess.PIPE, stderr=err) as proc:
