@@ -9,14 +9,17 @@ for the commands that write rows: growth, forrelation, spectrum and
 hybrid-growth.  --seed, --restriction, --levels (distinct, in [1, N]), --d,
 --k, --t, --w, --n and --eps (positive, finite) are checked, by name, before any
 gate or instance is drawn (growth's --k: default 1 for dqck, only 1 for dqc1, no
-effect but >= 0 for bqp and half-bqp, which echo 0).  Summary lines and notes go
+effect but >= 0 for bqp and half-bqp, which echo 0), and so are the two caps: a
+truth table of at most 2^20 entries and a register of at most 2^12 dimensions
+(reduce's 4M-dimensional reduced register included).  Summary lines and notes go
 to stderr, so stdout without --out holds only the output.  ``main`` returns the
-exit code, usage errors from parsing included.
+exit code.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error, or a reader that closed stdout or stderr.
-Every refusal after parsing goes through ``_run``'s one handler: a ``ValueError``
-prints ``error: <message>``, a ``ResourceLimitError`` ``resource error: <message>``.
+Every refusal, argparse's usage errors included, goes through ``_run``'s one
+handler as one line: a ``ValueError`` prints ``error: <message>``, a
+``ResourceLimitError`` ``resource error: <message>``.
 """
 
 from __future__ import annotations
@@ -32,11 +35,11 @@ import numpy as np
 from . import bounds, fourier, forrelation
 from .decomposition import random_decomposition_spec, verify
 from .errors import ResourceLimitError
-from .linalg import MAX_QUBITS, IndexSpace, leq_tol
+from .linalg import (MATCH_TOL, MAX_QUBITS, IndexSpace, check_register_size, check_table_size,
+                     leq_tol)
 from .models import (
     Model,
     Restriction,
-    check_table_size,
     hybrid_truth_table,
     load_spec,
     random_hybrid,
@@ -61,8 +64,6 @@ _LOWEST = (("workers", 1), ("seed", 0), ("trials", 1), ("d", 1), ("w", 0))
 #: Rounding allowance on exact values: a tightness coefficient at or below it
 #: is zero, and a forrelation amplitude may exceed 1 by it.
 ZERO_TOL = 1e-12
-#: Largest deviation from an exact expected value that tightness and reduce pass.
-MATCH_TOL = 1e-9
 #: Smallest |bias| whose ratio enters reduce's median observed ratio.
 RATIO_FLOOR = 1e-6
 
@@ -138,7 +139,11 @@ def _restrictions(option, n):
     if option is None:
         return lambda rng: Restriction.all_free(n)
     if option.startswith("random:"):
-        fixed_prob = float(option.split(":", 1)[1])
+        text = option.split(":", 1)[1]
+        try:
+            fixed_prob = float(text)
+        except ValueError:
+            raise ValueError(f"random:p needs a number p in [0, 1], got {text!r}") from None
         if not 0.0 <= fixed_prob <= 1.0:
             raise ValueError(f"random:p needs 0 <= p <= 1, got {fixed_prob}")
         return lambda rng: random_restriction(n, rng, star_prob=1.0 - fixed_prob)
@@ -275,7 +280,7 @@ def cmd_spectrum(args) -> int:
     if not args.spec:
         raise ValueError("--spec is required")
     spec, rho = load_spec(args.spec)
-    if args.restriction:
+    if args.restriction is not None:
         rho = _restrictions(args.restriction, spec.num_inputs)(np.random.default_rng(args.seed))
     sp = fourier.spectrum_of_algorithm(spec, rho, workers=args.workers)
     coeffs = sp.coeffs.tolist()
@@ -289,6 +294,7 @@ def cmd_reduce(args) -> int:
     rng = np.random.default_rng(args.seed)
     space = _qubit_space(args)
     check_table_size(space.oracle_dim)
+    check_register_size(4 * space.total_dim)  # the reduced register, before any draw
     spec = random_spec(Model.DQCK, space, args.d, rng)
     reduced = reduce_clean_qubits(spec, args.t)
     scale = 2.0 ** (-(args.t + 1))
@@ -336,6 +342,13 @@ def cmd_hybrid_growth(args) -> int:
 # parser
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ``ValueError``, so ``_run``'s one handler prints them on one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def _add_common(parser: argparse.ArgumentParser, rows: bool = False) -> None:
     """Options every command takes; ``rows`` adds ``--format`` for commands that write rows."""
     parser.add_argument("--seed", type=int, default=0)
@@ -346,7 +359,7 @@ def _add_common(parser: argparse.ArgumentParser, rows: bool = False) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="qgrowth",
         description="Fourier-growth laboratory for noisy quantum query algorithms",
     )
@@ -426,10 +439,10 @@ def main(argv=None) -> int:
 
 def _run(argv) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:  # usage errors and --help: return the code, do not exit
-        return exc.code
-    try:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:  # --help: return its code, do not exit
+            return exc.code
         for option, lowest in _LOWEST:
             value = getattr(args, option, lowest)
             if value < lowest:
@@ -444,7 +457,3 @@ def _run(argv) -> int:
     except Exception as exc:  # exit 1 is reserved for violated bounds
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return _USAGE_EXIT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

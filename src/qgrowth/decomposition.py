@@ -32,6 +32,7 @@ import numpy as np
 from .errors import ResourceLimitError
 from .linalg import (
     IMAG_TOL,
+    MATCH_TOL,
     IndexSpace,
     frobenius_norm,
     leq_tol,
@@ -49,9 +50,6 @@ AUGMENTED_DIM_GUARD = 65536
 
 #: Guard for the raw brute-force summation (M^(d-1) paths per entry).
 BRUTE_FORCE_GUARD = 10**7
-
-#: Largest entrywise deviation from brute force that ``verify`` passes.
-ENTRY_TOL = 1e-9
 
 #: Read only by the benchmark's factorizations workload; no code path here uses it.
 _DENSE_SVD_CUTOFF = 2048
@@ -223,9 +221,9 @@ class AugmentedMatrix:
     factors: tuple      # square sparse factors, one per position
     product: sp.csr_matrix
 
-    def entry(self, i_start, s_start, i_end, s_end, a_end=None, b_end=None,
-              a_start=None, b_start=None):
-        row = self.indexer.encode(i_start, s_start, a_start, b_start)
+    def entry(self, i_start, s_start, i_end, s_end, a_end=None, b_end=None):
+        """Product entry from row (i_start, s_start) with empty registers."""
+        row = self.indexer.encode(i_start, s_start)
         col = self.indexer.encode(i_end, s_end, a_end, b_end)
         return complex(self.product[row, col])
 
@@ -474,7 +472,7 @@ def verify(spec: DecompositionSpec) -> dict:
         "factor_operator_norms": factor_norms,
         "product_frobenius": block_frob,
         "min_input_frobenius": min_input_frob,
-        "entries_pass": bool(max_dev <= ENTRY_TOL),
+        "entries_pass": bool(max_dev <= MATCH_TOL),
         "factor_norm_pass": bool(leq_tol(max(factor_norms), 1.0)),
         "frobenius_pass": bool(leq_tol(block_frob, min_input_frob)),
     }
@@ -571,7 +569,7 @@ def spectrum_via_decomposition(
     s_ends = np.arange(1 << free_count) ^ toggles[:, None]
     cols = built.indexer.encode(np.arange(m)[:, None], s_ends)
     coeffs = dense[np.arange(m)[:, None], cols].sum(axis=0)
-    coeffs /= spec.space.start_dim
+    coeffs /= spec.start_indices().size
     if np.max(np.abs(coeffs.imag)) > IMAG_TOL:
         raise ValueError("decomposition read-off produced non-real coefficients")
     return _fourier.FourierSpectrum(free_count, coeffs.real)

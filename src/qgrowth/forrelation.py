@@ -17,9 +17,8 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
-from .errors import ResourceLimitError
 from .fourier import fwht
-from .linalg import MAX_QUBITS, IndexSpace, f2_inner, hadamard_matrix
+from .linalg import IndexSpace, check_table_size, f2_inner, hadamard_matrix
 from .models import AlgorithmSpec, Model, Restriction, acceptance_direct
 
 FORR_MAX_N = 12
@@ -150,10 +149,7 @@ def tightness_circuit(n: int, d: int) -> TraceCircuit:
     """
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be >= 1, got n={n}, d={d}")
-    if d * (1 << n) > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"tightness circuit needs a truth table over {d * (1 << n)} bits (cap {MAX_QUBITS})"
-        )
+    check_table_size(d * (1 << n))
     size = 1 << n
     live = d * size
     reg = 2 * live

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import ResourceLimitError
-from .linalg import IMAG_TOL, MAX_QUBITS, f2_inner
+from .linalg import IMAG_TOL, MAX_QUBITS, check_table_size, f2_inner
 from .models import AlgorithmSpec, Model, Restriction, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
@@ -126,8 +126,7 @@ def embed_spectrum(sp: FourierSpectrum, rho: Restriction) -> FourierSpectrum:
     free = rho.free_indices
     if sp.num_vars != free.size:
         raise ValueError(f"spectrum has {sp.num_vars} variables, restriction frees {free.size}")
-    if len(rho) > MAX_QUBITS:
-        raise ResourceLimitError(f"embedding over {len(rho)} variables exceeds cap")
+    check_table_size(len(rho))
     coeffs = np.zeros(1 << len(rho))
     coeffs[rho.embed_masks()] = sp.coeffs
     return FourierSpectrum(len(rho), coeffs)
@@ -267,11 +266,16 @@ def _restricted_chain(spec: AlgorithmSpec, rho: Optional[Restriction]):
     return vs, int(rho.free_indices.size), skip, old_of_new
 
 
-def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
-    """All Fourier coefficients of the restricted acceptance, by raw summation
-    over index tuples of the closed-form expressions (independent of the
-    transform pipeline).  Bin S collects tuples whose free phase indices have
-    symmetric difference S.
+def direct_restricted_spectrum(
+    spec: AlgorithmSpec, rho: Optional[Restriction] = None
+) -> FourierSpectrum:
+    """Direct-summation spectrum of the restricted acceptance probability.
+
+    All Fourier coefficients, by raw summation over index tuples of the
+    closed-form expressions (independent of the transform pipeline).  Index
+    order matches :func:`spectrum_of_algorithm`: variable j is the j-th free
+    coordinate in increasing order.  Bin S collects tuples whose free phase
+    indices have symmetric difference S.
 
     A tuple is a path I_0 ... I_L through the L matrices, weighted by
     V_0[I_0, I_1] ... V_{L-1}[I_{L-1}, I_L]; BQP pins both ends to the old
@@ -328,25 +332,11 @@ def _direct_bins(spec: AlgorithmSpec, rho: Optional[Restriction]) -> np.ndarray:
         block = masks ^ fixed
         bins.real += np.bincount(block, w.real, minlength=bins.size)
         bins.imag += np.bincount(block, w.imag, minlength=bins.size)
-    if spec.model is Model.DQCK:
-        bins /= spec.space.start_dim
-    elif spec.model is Model.HALF_BQP:
-        bins /= m
+    if spec.model is not Model.BQP:
+        bins /= spec.start_indices().size
     if np.max(np.abs(bins.imag)) > IMAG_TOL:
         raise ValueError("direct coefficient sums came out non-real")
-    return bins.real
-
-
-def direct_restricted_spectrum(
-    spec: AlgorithmSpec, rho: Optional[Restriction] = None
-) -> FourierSpectrum:
-    """Direct-summation spectrum of the restricted acceptance probability.
-
-    Index order matches :func:`spectrum_of_algorithm`: variable j is the j-th
-    free coordinate in increasing order.
-    """
-    bins = _direct_bins(spec, rho)
-    return FourierSpectrum((bins.size - 1).bit_length(), bins)
+    return FourierSpectrum(free_count, bins.real)
 
 
 # ---------------------------------------------------------------------------

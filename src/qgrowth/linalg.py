@@ -17,9 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ResourceLimitError
+
 
 #: Hard cap on qubit counts so 2**N truth tables stay addressable downstream.
 MAX_QUBITS = 20
+
+#: Largest register dimension M: one dense M x M complex gate is then 256 MiB.
+MAX_REGISTER_DIM = 1 << 12
 
 #: Relative and absolute slack of :func:`leq_tol`.
 LEQ_SLACK = 1e-9
@@ -30,10 +35,31 @@ UNITARY_TOL = 1e-9
 #: Largest imaginary part tolerated where a computed value must be real.
 IMAG_TOL = 1e-8
 
+#: Largest deviation from an exact expected value that passes.
+MATCH_TOL = 1e-9
+
 
 def leq_tol(lhs: float, rhs: float) -> bool:
     """Tolerant form of the exact inequality ``lhs <= rhs``."""
     return lhs <= rhs * (1.0 + LEQ_SLACK) + LEQ_SLACK
+
+
+def check_table_size(coords: int) -> None:
+    """Refuse a truth table over ``coords`` coordinates above the 2^MAX_QUBITS cap."""
+    if coords > MAX_QUBITS:
+        raise ResourceLimitError(
+            f"truth table over {coords} coordinates needs 2^{coords} entries, "
+            f"above the 2^{MAX_QUBITS} cap"
+        )
+
+
+def check_register_size(dim: int) -> None:
+    """Refuse a register whose dense dim x dim gates exceed the MAX_REGISTER_DIM cap."""
+    if dim > MAX_REGISTER_DIM:
+        raise ResourceLimitError(
+            f"register of dimension M = {dim} needs {16 * dim * dim / 2**30:.3g} GiB per "
+            f"dense complex gate, above the M = {MAX_REGISTER_DIM} cap"
+        )
 
 
 @dataclass(frozen=True)
@@ -55,27 +81,21 @@ class IndexSpace:
             raise ValueError(f"oracle register needs dimension >= 2, got {self.oracle_dim}")
         if self.work_dim < 1 or self.clean_dim < 1:
             raise ValueError("workspace/clean register dimensions must be >= 1")
+        check_register_size(self.total_dim)
 
     @classmethod
     def qubits(cls, n: int, w: int = 0, k: int = 0) -> "IndexSpace":
         """Build a space from qubit counts: N=2^n, W=2^w, K=2^k."""
         if not 1 <= n <= MAX_QUBITS:
             raise ValueError(f"oracle qubit count must be in [1, {MAX_QUBITS}], got {n}")
-        if w < 0 or k < 0:
-            raise ValueError("workspace/clean qubit counts must be >= 0")
-        if n + w + k > MAX_QUBITS:
-            raise ValueError(f"total qubit count {n + w + k} exceeds cap {MAX_QUBITS}")
+        if not (0 <= w <= MAX_QUBITS and 0 <= k <= MAX_QUBITS):  # 1 << w stays small
+            raise ValueError(f"workspace/clean qubit counts must be >= 0 and <= {MAX_QUBITS}")
         return cls(1 << n, 1 << w, 1 << k)
 
     @property
     def total_dim(self) -> int:
         """M = N * W * K, the dimension every circuit gate acts on."""
         return self.oracle_dim * self.work_dim * self.clean_dim
-
-    @property
-    def start_dim(self) -> int:
-        """N * W, the number of noisy basis states (mixed-start models)."""
-        return self.oracle_dim * self.work_dim
 
     def oracle_parts(self) -> np.ndarray:
         """Oracle coordinate of every composite index, as a length-M array."""
@@ -100,6 +120,7 @@ def hadamard_matrix(n: int) -> np.ndarray:
     """
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"Hadamard order n must be in [1, {MAX_QUBITS}], got {n}")
+    check_register_size(1 << n)
     scale = 1 / np.sqrt(1 << n)
     idx = np.arange(1 << n, dtype=np.uint32)
     return np.where(f2_inner(idx[:, None], idx), -scale, scale)

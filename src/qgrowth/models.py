@@ -41,11 +41,10 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .linalg import (
     IMAG_TOL,
-    MAX_QUBITS,
     IndexSpace,
+    check_table_size,
     hadamard_matrix,
     is_unitary,
     phase_vector,
@@ -251,7 +250,7 @@ def acceptance_formula(spec: AlgorithmSpec, x: np.ndarray) -> float:
         chain = phases[:, None] * vs[0]
         for mat in vs[1:]:
             chain = chain @ (phases[:, None] * mat)
-        return _real(np.trace(chain) / spec.space.start_dim, "DQCK acceptance formula")
+        return _real(np.trace(chain) / spec.start_indices().size, "DQCK acceptance formula")
     half = len(vs) // 2
     left = vs[0]
     for mat in vs[1:half]:
@@ -300,15 +299,6 @@ def _table_chunk(spec: AlgorithmSpec, x: np.ndarray) -> np.ndarray:
     else:
         accepted = probs.sum(axis=1)
     return accepted / starts.size
-
-
-def check_table_size(coords: int) -> None:
-    """Refuse a truth table over ``coords`` coordinates above the 2^MAX_QUBITS cap."""
-    if coords > MAX_QUBITS:
-        raise ResourceLimitError(
-            f"truth table over {coords} coordinates needs 2^{coords} entries, "
-            f"above the 2^{MAX_QUBITS} cap"
-        )
 
 
 def truth_table(
@@ -458,10 +448,6 @@ class HybridSpec:
     def space(self) -> IndexSpace:
         return self.leaf_algorithms[0].space
 
-    @property
-    def d(self) -> int:
-        return self.leaf_algorithms[0].d
-
     def leaf_paths(self):
         """Yield (leaf algorithm, [(coord, sign), ...]) for every root-to-leaf path."""
         stack = [(self.tree, [])]
@@ -552,6 +538,12 @@ def random_hybrid(
 # JSON interface
 
 
+def _is_square(rows, m: int, entry_ok) -> bool:
+    """Whether JSON ``rows`` is m lists of m entries that each pass ``entry_ok``."""
+    return isinstance(rows, list) and len(rows) == m and all(
+        isinstance(row, list) and len(row) == m and all(map(entry_ok, row)) for row in rows)
+
+
 def _gate_from_json(doc: dict, m: int) -> np.ndarray:
     kind = doc.get("kind")
     if kind == "identity":
@@ -560,15 +552,19 @@ def _gate_from_json(doc: dict, m: int) -> np.ndarray:
         bits = _log2_exact(m, "register dimension for a hadamard gate")
         return hadamard_matrix(bits).astype(complex)
     if kind == "haar":
-        if "seed" not in doc:
-            raise ValueError("haar gate needs a 'seed'")
-        return random_unitary(m, int(doc["seed"]))
+        seed = doc.get("seed")
+        if type(seed) is not int or seed < 0:  # JSON 1.5 and true are no seeds
+            raise ValueError(f"haar gate 'seed' must be an integer >= 0, got {seed!r}")
+        return random_unitary(m, seed)
     if kind == "explicit":
-        rows = doc["rows"]
-        mat = np.array([[complex(re, im) for re, im in row] for row in rows])
-        if mat.shape != (m, m):
-            raise ValueError(f"explicit gate has shape {mat.shape}, expected ({m}, {m})")
-        return mat
+        rows = doc.get("rows")
+        if not _is_square(rows, m, lambda pair: isinstance(pair, list) and len(pair) == 2
+                          and all(type(v) in (int, float) for v in pair)):  # true is no number
+            raise ValueError(f"explicit gate 'rows' must be {m} lists of {m} [re, im] number pairs")
+        try:
+            return np.array(rows, dtype=float).view(complex)[..., 0]
+        except OverflowError:
+            raise ValueError("explicit gate 'rows' holds an integer beyond float range") from None
     raise ValueError(f"unknown gate kind {kind!r}")
 
 
@@ -583,32 +579,39 @@ def spec_from_json(doc: dict):
     missing = [key for key in ("model", "n", "d", "unitaries", "accept") if key not in doc]
     if missing:
         raise ValueError(f"spec document lacks required keys: {', '.join(missing)}")
-    model = Model(doc["model"].upper().replace("-", "_"))
+    name = doc["model"].upper().replace("-", "_") if isinstance(doc["model"], str) else None
+    if name not in Model.__members__:
+        raise ValueError(f"spec 'model' must be one of {', '.join(Model.__members__)}, "
+                         f"got {doc['model']!r}")
+    model = Model[name]
     for key in ("n", "w", "k", "d"):
         value, low = doc.get(key, 0), int(key in "nd")
         if type(value) is not int or value < low:  # JSON 1.7 and true are no sizes
             raise ValueError(f"spec {key!r} must be an integer >= {low}, got {value!r}")
     space = IndexSpace.qubits(doc["n"], doc.get("w", 0), doc.get("k", 0))
     m = space.total_dim
-    gates = tuple(_gate_from_json(g, m) for g in doc["unitaries"])
+    unitaries = doc["unitaries"]
+    if not (isinstance(unitaries, list) and all(isinstance(g, dict) for g in unitaries)):
+        raise ValueError("spec 'unitaries' must be a list of gate objects")
+    gates = tuple(_gate_from_json(g, m) for g in unitaries)
     if model is Model.HALF_BQP:
         rows = doc["accept"]
-        if not (isinstance(rows, list) and len(rows) == m and all(
-            isinstance(row, list) and len(row) == m
-            and all(type(v) is int and v in (0, 1) for v in row)  # JSON 0.7 and true are no bits
-            for row in rows
-        )):
+        # JSON 0.7 and true are no bits
+        if not _is_square(rows, m, lambda v: type(v) is int and v in (0, 1)):
             raise ValueError(f"HALF_BQP accept must be an {m}x{m} matrix of integers 0 or 1")
         accept = np.array(rows, dtype=bool)
     else:
-        outcomes = list(doc["accept"])
-        if not all(type(v) is int and 0 <= v < m for v in outcomes):  # JSON true is no index
-            raise ValueError(f"accept entries must be integers in [0, {m})")
+        outcomes = doc["accept"]
+        if not (isinstance(outcomes, list)  # JSON true is no index
+                and all(type(v) is int and 0 <= v < m for v in outcomes)):
+            raise ValueError(f"spec 'accept' must be a list of integers in [0, {m})")
         accept = np.zeros(m, dtype=bool)
         accept[outcomes] = True
     spec = AlgorithmSpec(model, space, doc["d"], gates, accept)
     rho = None
-    if doc.get("restriction"):
+    if "restriction" in doc:
+        if not isinstance(doc["restriction"], str):
+            raise ValueError(f"spec 'restriction' must be a string, got {doc['restriction']!r}")
         rho = Restriction.from_string(doc["restriction"])
         if len(rho) != space.oracle_dim:
             raise ValueError("restriction length must match the oracle register dimension")

@@ -170,16 +170,48 @@ def _spec_doc(**changes):
     _spec_doc(model="HALF_BQP", accept=[[2, 0], [1, 0]]),
     _spec_doc(model="HALF_BQP", accept=[[1, 0], [1]]),
     _spec_doc(model="HALF_BQP", accept=[[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    _spec_doc(model=5),
+    _spec_doc(model="qma"),
+    _spec_doc(unitaries={"kind": "hadamard"}),
+    _spec_doc(unitaries=["hadamard", {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": 5}, {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": "haar", "seed": 1.5}, {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": "haar", "seed": True}, {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": "haar", "seed": -1}, {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": "explicit"}, {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": "explicit", "rows": [[1, 0], [0, 1]]}, {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": "explicit", "rows": [[[True, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                         {"kind": "hadamard"}]),
+    _spec_doc(unitaries=[{"kind": "explicit", "rows": [[[10**400, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                         {"kind": "hadamard"}]),
+    _spec_doc(accept=0),
+    _spec_doc(restriction=5),
+    _spec_doc(restriction=""),
 ], ids=["no-model", "accept-5", "accept-negative", "accept-bool", "haar-no-seed", "list",
         "n-float", "d-bool", "w-negative", "hbqp-accept-float", "hbqp-accept-bool",
-        "hbqp-accept-2", "hbqp-accept-ragged", "hbqp-accept-shape"])
+        "hbqp-accept-2", "hbqp-accept-ragged", "hbqp-accept-shape", "model-int", "model-unknown",
+        "unitaries-object", "gate-string", "kind-int", "seed-float", "seed-bool", "seed-negative",
+        "rows-missing", "rows-not-pairs", "rows-bool", "rows-past-float", "accept-int",
+        "restriction-int", "restriction-empty"])
 def test_spectrum_rejects_malformed_spec(doc, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(doc))
     assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "sp.csv")]) == 2
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
-    assert "Traceback" not in err
+    assert err.startswith("error: ")
+    assert "Traceback" not in err and "Error" not in err  # no Python exception name leaks
+
+
+def test_spec_register_over_cap_is_refused_before_any_gate(no_draws, tmp_path, capsys):
+    # w = 13 makes M = 16384: each dense complex gate would take 4 GiB
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_doc(w=13, unitaries=[{"kind": "haar", "seed": 1}] * 2)))
+    assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "sp.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("resource error: register of dimension M = 16384 needs 4 GiB")
+    assert len(err.splitlines()) == 1
+    assert no_draws == []
 
 
 @pytest.mark.parametrize("workers", ["0", "-3"])
@@ -266,7 +298,7 @@ def no_draws(monkeypatch):
     (["growth", "--model", "bqp", "--n", "4", "--w", "6", "--d", "2", "--trials", "1",
       "--restriction", "random:1.7"], "0 <= p <= 1"),
     (["growth", "--model", "bqp", "--n", "4", "--w", "6", "--d", "2", "--trials", "1",
-      "--restriction", "random:abc"], "'abc'"),
+      "--restriction", "random:abc"], "random:p needs a number p in [0, 1], got 'abc'"),
     (["growth", "--model", "dqck", "--k", "0", "--n", "2", "--w", "9"], "one clean qubit"),
     (["hybrid-growth", "--k", "0", "--n", "2", "--w", "9"], "one clean qubit"),
     (["reduce", "--n", "2", "--k", "1", "--t", "1", "--w", "9"], "need 1 <= t < k"),
@@ -308,6 +340,10 @@ def no_draws(monkeypatch):
     (["forrelation", "--eps", "nan"], "--eps must be positive and finite, got nan"),
     (["forrelation", "--eps", "inf"], "--eps must be positive and finite, got inf"),
     (["spectrum"], "error: --spec is required"),
+    (["growth", "--model", "bqp", "--n", "1", "--w", "13", "--levels", "2", "--trials", "1"],
+     "resource error: register of dimension M = 16384 needs 4 GiB"),
+    (["reduce", "--n", "2", "--w", "8", "--k", "2", "--t", "1"],
+     "resource error: register of dimension M = 16384 needs 4 GiB"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
@@ -320,7 +356,8 @@ def no_draws(monkeypatch):
         "hybrid-k-minus-1", "reduce-k-minus-1", "growth-dqc1-k-3", "growth-dqc1-k-0",
         "growth-bqp-k-minus-1", "growth-half-bqp-k-minus-2", "forrelation-k-0",
         "forrelation-k-minus-3", "forrelation-eps-0", "forrelation-eps-minus-1",
-        "forrelation-eps-nan", "forrelation-eps-inf", "spectrum-no-spec"])
+        "forrelation-eps-nan", "forrelation-eps-inf", "spectrum-no-spec", "growth-register-cap",
+        "reduce-reduced-register-cap"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
@@ -579,17 +616,25 @@ def test_bad_usage_exit_code():
 @pytest.mark.parametrize("argv, words", [
     (["growth", "--model", "xyz"], "invalid choice"),
     (["growth", "--n", "two"], "invalid int value"),
+    (["growth", "--k", "x"], "error: argument --k: invalid int value: 'x'"),
     (["tightness", "--bogus"], "unrecognized arguments"),
     (["tightness", "--format", "csv"], "unrecognized arguments"),
     (["verify-decomposition", "--format", "json"], "unrecognized arguments"),
     (["reduce", "--format", "csv"], "unrecognized arguments"),
     (["forrelation", "--n", "1"], "--n 1 has no default --eps; pass one"),
-], ids=["bad-choice", "bad-int", "unknown-option", "tightness-format", "verify-format",
-        "reduce-format", "forrelation-n-1-no-eps"])
+    ([], "error: the following arguments are required: command"),
+    (["spectrum", "--spec", str(ROOT / "specs" / "example_bqp.json"), "--restriction", ""],
+     "error: --restriction has length 0, needs one per input (4)"),
+], ids=["bad-choice", "bad-int", "growth-k-not-int", "unknown-option", "tightness-format",
+        "verify-format", "reduce-format", "forrelation-n-1-no-eps", "no-command",
+        "spectrum-empty-restriction"])
 def test_usage_errors_return_2(argv, words, capsys):
-    # main returns the exit code to in-process callers instead of raising SystemExit
-    assert main(argv + ["--workers", "1"]) == 2
-    assert words in capsys.readouterr().err
+    # main returns the exit code to in-process callers instead of raising SystemExit,
+    # and argparse's errors go through cli._run's one handler as one line
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert words in err
 
 
 def test_help_returns_0(capsys):

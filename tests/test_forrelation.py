@@ -187,7 +187,7 @@ def test_tightness_guard_trips_before_building(monkeypatch):
         raise AssertionError("the guard let construction start")
 
     monkeypatch.setattr(forrelation, "hadamard_matrix", refuse)
-    with pytest.raises(ResourceLimitError, match="4096 bits"):
+    with pytest.raises(ResourceLimitError, match="truth table over 4096 coordinates"):
         tightness_circuit(12, 1)
     for n, d in [(0, 1), (1, 0), (-1, 2)]:
         with pytest.raises(ValueError, match="n and d must be >= 1"):

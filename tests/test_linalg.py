@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgrowth.errors import ResourceLimitError
 from qgrowth.linalg import (
     IndexSpace,
     f2_inner,
@@ -43,6 +44,13 @@ def test_hadamard_unitary(n):
 def test_hadamard_dimension_errors(n):
     with pytest.raises(ValueError, match=r"Hadamard order n must be in \[1, 20\]"):
         hadamard_matrix(n)
+
+
+def test_hadamard_refuses_registers_over_the_cap():
+    # n = 13 would be a 512 MiB real matrix; n = 20 one of 8 TiB
+    for n in (13, 20):
+        with pytest.raises(ResourceLimitError, match=f"M = {1 << n} needs"):
+            hadamard_matrix(n)
 
 
 def test_sign_hadamard_matches_matrix():
@@ -177,5 +185,12 @@ def test_index_space_validation():
         IndexSpace.qubits(2, -1)
     with pytest.raises(ValueError, match="oracle register needs dimension >= 2, got 1"):
         IndexSpace(1)
+    # the register cap covers raw dimensions and qubit counts alike
+    with pytest.raises(ResourceLimitError, match="M = 4098 needs 0.25 GiB"):
+        IndexSpace(2049, 2)
+    with pytest.raises(ResourceLimitError, match="M = 8192 needs 1 GiB"):
+        IndexSpace.qubits(1, 6, 6)
+    with pytest.raises(ValueError, match="workspace/clean qubit counts must be >= 0 and <= 20"):
+        IndexSpace.qubits(1, 10**12)  # refused before 1 << w is built
     # raw dimensions (block-embedded registers) are allowed
     assert IndexSpace(12, 1, 2).total_dim == 24

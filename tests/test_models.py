@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrowth.errors import ResourceLimitError
 from qgrowth.fourier import spectrum_of_algorithm
 from qgrowth.linalg import IndexSpace, f2_inner, hadamard_matrix, random_unitary
 from qgrowth.models import (
@@ -470,8 +471,47 @@ def test_json_round_trip(model, n, w, d, seed, data):
     doc = spec_to_json(spec, Restriction.from_string(text))
     loaded, rho2 = spec_from_json(json.loads(json.dumps(doc)))
     assert rho2.to_string() == text
+    assert [g.tobytes() for g in loaded.unitaries] == [g.tobytes() for g in spec.unitaries]
+    assert loaded.accept.tobytes() == spec.accept.tobytes()
     x = _random_x(rng, space.oracle_dim)
     assert acceptance_direct(loaded, x) == pytest.approx(acceptance_direct(spec, x), abs=1e-12)
+
+
+def _field_doc():
+    return {"model": "BQP", "n": 1, "w": 0, "k": 0, "d": 1, "accept": [0], "restriction": "*+",
+            "unitaries": [{"kind": "haar", "seed": 1},
+                          {"kind": "explicit", "rows": [[[1, 0], [0, 0]], [[0, 0], [1, 0]]]}]}
+
+
+_DOC_FIELDS = [(key,) for key in _field_doc()] + [
+    ("unitaries", 0), ("unitaries", 1), ("unitaries", 0, "kind"), ("unitaries", 0, "seed"),
+    ("unitaries", 1, "kind"), ("unitaries", 1, "rows")]
+
+# sizes stay small (w = 4 is M = 32) or trip a guard before any gate (13, 10**30)
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.sampled_from([13, 10**30, 10**400])
+    | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(path=st.sampled_from(_DOC_FIELDS), value=_JSON_VALUES)
+def test_spec_field_replaced_by_any_json_value_loads_or_is_refused(path, value):
+    # the CLI prints ValueError and ResourceLimitError as one line; anything else
+    # would leak a Python exception name
+    doc = _field_doc()
+    spec_from_json(doc)
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    try:
+        spec_from_json(doc)
+    except (ValueError, ResourceLimitError):
+        pass
 
 
 def test_json_gate_kinds():
