@@ -10,10 +10,10 @@ hybrid-growth.  --seed, --restriction, --levels (distinct, in [1, N]), --d,
 --k, --t, --w, --n and --eps (positive, finite) are checked, by name, before any
 gate or instance is drawn (growth's --k: default 1 for dqck, only 1 for dqc1, no
 effect but >= 0 for bqp and half-bqp, which echo 0), and so are the two caps: a
-truth table of at most 2^20 entries and a register of at most 2^12 dimensions
-(reduce's 4M-dimensional reduced register included).  Summary lines and notes go
-to stderr, so stdout without --out holds only the output.  ``main`` returns the
-exit code.
+truth table or forrelation instance of at most 2^20 entries and a register of at
+most 2^12 dimensions (reduce's 4M-dimensional reduced register included).
+Summary lines and notes go to stderr, so stdout without --out holds only the
+output.  ``main`` returns the exit code.
 
 Exit codes: 0 all checks passed, 1 a certified bound was violated (a genuine
 finding), 2 usage or resource error, or a reader that closed stdout or stderr.
@@ -225,11 +225,15 @@ def cmd_forrelation(args) -> int:
         raise ValueError(f"--k must be >= 1, got {args.k}")
     if args.eps is not None and not 0 < args.eps < np.inf:  # NaN fails too
         raise ValueError(f"--eps must be positive and finite, got {args.eps}")
+    forrelation.check_instance_size(args.k, args.n)
     rng = np.random.default_rng(args.seed)
     if args.eps is None:
         if args.n == 1:
             raise ValueError("--n 1 has no default --eps; pass one")
         args.eps = forrelation.default_eps(args.k, 1 << args.n)
+        if args.eps == 0.0:
+            raise ValueError(f"--k {args.k} at --n {args.n} rounds the default --eps "
+                             f"(log2 N)^-k to 0.0; pass --eps")
     rows = []
     ok = True
     for trial in range(args.trials):

@@ -310,7 +310,9 @@ def decompose(spec: DecompositionSpec) -> AugmentedMatrix:
             prod_t U_t[I_t | I_{t+1}] * [S = xor of tracked {i_t}]
 
     with every factor of operator norm <= 1 and the block's Frobenius norm
-    bounded by the smallest input Frobenius norm.
+    bounded by the smallest input Frobenius norm.  Outside the tests only the
+    benchmark's factorizations workload calls it; the code here uses
+    :func:`decompose_improved`.
     """
     if spec.p or spec.q:
         raise ValueError("decompose takes no equality/memory constraints")
@@ -555,13 +557,8 @@ def spectrum_via_decomposition(
     """
     if spec.model is not Model.DQCK:
         raise ValueError("decomposition read-off applies to DQCK trace forms")
-    vs, free_count, _, _ = _fourier._restricted_chain(spec, rho)
-    dspec = DecompositionSpec(
-        space=spec.space,
-        matrices=tuple(vs),
-        tracked=free_count,
-    )
-    built = decompose(dspec)
+    vs, free_count, _, _ = spec.restricted_chain(rho)
+    built = decompose_improved(DecompositionSpec(spec.space, tuple(vs), tracked=free_count))
     m = spec.space.total_dim
     oracle_of = spec.space.oracle_parts()
     dense = built.empty_start_block()  # rows I_1, columns (I, S)

@@ -17,18 +17,23 @@ from dataclasses import dataclass
 from enum import Enum
 import numpy as np
 
+from .errors import ResourceLimitError
 from .fourier import fwht
-from .linalg import IndexSpace, check_table_size, f2_inner, hadamard_matrix
+from .linalg import MAX_QUBITS, IndexSpace, check_table_size, f2_inner, hadamard_matrix
 from .models import AlgorithmSpec, Model, Restriction, acceptance_direct
 
 FORR_MAX_N = 12
 
 
-def _check_size(k: int, n: int) -> None:
+def check_instance_size(k: int, n: int) -> None:
+    """Refuse k blocks of N = 2^n entries outside the ranges, or above 2^MAX_QUBITS entries."""
     if k < 1:
         raise ValueError(f"fold count k must be >= 1, got {k}")
     if not 1 <= n <= FORR_MAX_N:
         raise ValueError(f"n must lie in [1, {FORR_MAX_N}], got {n}")
+    if k << n > 1 << MAX_QUBITS:
+        raise ResourceLimitError(f"instance of {k} blocks of N = 2^{n} needs {k} * 2^{n} "
+                                 f"entries, above the 2^{MAX_QUBITS} cap")
 
 
 @dataclass(frozen=True)
@@ -40,7 +45,7 @@ class ForrelationInstance:
     blocks: np.ndarray
 
     def __post_init__(self):
-        _check_size(self.k, self.n)
+        check_instance_size(self.k, self.n)
         blocks = np.asarray(self.blocks, dtype=float)
         if blocks.shape != (self.k, 1 << self.n):
             raise ValueError(
@@ -149,6 +154,9 @@ def tightness_circuit(n: int, d: int) -> TraceCircuit:
     """
     if n < 1 or d < 1:
         raise ValueError(f"n and d must be >= 1, got n={n}, d={d}")
+    if n > MAX_QUBITS:  # d * 2^n would take too many digits to print
+        raise ResourceLimitError(f"truth table over {d} * 2^{n} coordinates needs "
+                                 f"2^({d} * 2^{n}) entries, above the 2^{MAX_QUBITS} cap")
     check_table_size(d * (1 << n))
     size = 1 << n
     live = d * size
@@ -191,7 +199,7 @@ def tightness_level_growth(n: int, d: int) -> float:
 
 
 def random_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInstance:
-    _check_size(k, n)  # before the draw: n = 40 would ask for 16 TiB
+    check_instance_size(k, n)  # before the draw: n = 40 would ask for 16 TiB
     blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
     return ForrelationInstance(k, n, blocks)
 
@@ -199,7 +207,7 @@ def random_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInst
 def forrelated_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInstance:
     """Demo generator biasing the amplitude upward: the last block is the sign
     pattern of the transformed previous block.  No distributional claim."""
-    _check_size(k, n)
+    check_instance_size(k, n)
     blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
     if k >= 2:
         transformed = fwht(blocks[k - 2]) / np.sqrt(1 << n)

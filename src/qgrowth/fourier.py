@@ -231,41 +231,6 @@ def signed_growth(sp: FourierSpectrum, signs: SignFamily) -> float:
 # direct-summation coefficient oracles
 
 
-def _restricted_chain(spec: AlgorithmSpec, rho: Optional[Restriction]):
-    """Prefix-relabeled bounded-norm matrices with the restriction baked in.
-
-    The oracle coordinates are relabeled so the free ones come first
-    (ascending each).  Returns (matrices, free_count, skip, old_of_new):
-    positions in ``skip`` (zero-based within the matrix list) contribute no
-    input phase, and ``old_of_new[new_flat]`` is the original composite index.
-    """
-    n = spec.num_inputs
-    if rho is None:
-        rho = Restriction.all_free(n)
-    if len(rho) != n:
-        raise ValueError(f"restriction length {len(rho)} != input length {n}")
-    order = np.concatenate([rho.free_indices, rho.fixed_indices])
-    wk = spec.space.work_dim * spec.space.clean_dim
-    flats = np.arange(spec.space.total_dim)
-    old_of_new = order[flats // wk] * wk + flats % wk
-    vs = [mat[np.ix_(old_of_new, old_of_new)] for mat in spec.formula_matrices]
-    damp = np.where(rho.pattern == 0, 1, rho.pattern).astype(float)[old_of_new // wk]
-
-    if spec.model is Model.DQCK:
-        vs = [damp[:, None] * mat for mat in vs]
-        skip = set()
-    elif spec.model is Model.BQP:
-        vs = [vs[0]] + [damp[:, None] * mat for mat in vs[1:]]
-        skip = {0}
-    else:
-        d = spec.d
-        vs = [
-            mat if t in (0, d + 1) else damp[:, None] * mat for t, mat in enumerate(vs)
-        ]
-        skip = {0, d + 1}
-    return vs, int(rho.free_indices.size), skip, old_of_new
-
-
 def direct_restricted_spectrum(
     spec: AlgorithmSpec, rho: Optional[Restriction] = None
 ) -> FourierSpectrum:
@@ -285,7 +250,7 @@ def direct_restricted_spectrum(
     built left to right as ``w[..., None] * V_t``.  Its parity masks are an
     XOR broadcast of per-slot bits, and two ``np.bincount`` calls (real and
     imaginary parts) add the block into the bins."""
-    vs, free_count, skip, old_of_new = _restricted_chain(spec, rho)
+    vs, free_count, skip, old_of_new = spec.restricted_chain(rho)
     m = spec.space.total_dim
     count = len(vs)
     pinned = spec.model is Model.BQP
@@ -366,8 +331,7 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     n = spec.num_inputs
     if n % 3:
         raise ValueError("three-block structure needs input length divisible by 3")
-    if len(rho) != n:
-        raise ValueError("restriction length mismatch")
+    rho = spec.restriction(rho)
     m = spec.space.total_dim
     wk = m // n
     fixed = np.repeat(rho.pattern.astype(float), wk)[:, None]  # rho_j on fixed rows, 0 on free

@@ -169,6 +169,15 @@ class AlgorithmSpec:
             return np.arange(m)
         return np.array([0])
 
+    def restriction(self, rho: Optional[Restriction]) -> Restriction:
+        """``rho`` checked against the input length; None means every coordinate free."""
+        n = self.num_inputs
+        if rho is None:
+            return Restriction.all_free(n)
+        if len(rho) != n:
+            raise ValueError(f"restriction length {len(rho)} != input length {n}")
+        return rho
+
     @cached_property
     def _kernel_plan(self) -> tuple:
         """Kernel GEMM operands: gate 1 takes start s to sum_i x_i C[i, s], with
@@ -222,6 +231,30 @@ class AlgorithmSpec:
         for mat in mats:
             mat.setflags(write=False)
         return tuple(mats)
+
+    def restricted_chain(self, rho: Optional[Restriction]):
+        """:attr:`formula_matrices` relabeled free-first, with ``rho``'s fixed signs baked in.
+
+        The oracle coordinates are relabeled so the free ones come first
+        (ascending each).  Returns (matrices, free_count, skip, old_of_new):
+        positions in ``skip`` (zero-based within the matrix list) contribute no
+        input phase, and ``old_of_new[new_flat]`` is the original composite index.
+        """
+        rho = self.restriction(rho)
+        order = np.concatenate([rho.free_indices, rho.fixed_indices])
+        wk = self.space.work_dim * self.space.clean_dim
+        flats = np.arange(self.space.total_dim)
+        old_of_new = order[flats // wk] * wk + flats % wk
+        vs = [mat[np.ix_(old_of_new, old_of_new)] for mat in self.formula_matrices]
+        damp = np.where(rho.pattern == 0, 1, rho.pattern).astype(float)[old_of_new // wk]
+        if self.model is Model.DQCK:
+            skip = set()
+        elif self.model is Model.BQP:
+            skip = {0}
+        else:
+            skip = {0, self.d + 1}
+        vs = [mat if t in skip else damp[:, None] * mat for t, mat in enumerate(vs)]
+        return vs, int(rho.free_indices.size), skip, old_of_new
 
 
 def _real(value: complex, what: str) -> float:
@@ -320,10 +353,7 @@ def truth_table(
     reassembled in index order, so results do not depend on the worker count.
     """
     n = spec.num_inputs
-    if rho is None:
-        rho = Restriction.all_free(n)
-    if len(rho) != n:
-        raise ValueError(f"restriction length {len(rho)} != input length {n}")
+    rho = spec.restriction(rho)
     free = rho.free_indices.size
     check_table_size(free)
     size = 1 << free
@@ -381,19 +411,13 @@ def reduce_clean_qubits(spec: AlgorithmSpec, t: int) -> AlgorithmSpec:
     k_dim = spec.space.clean_dim
     sim_dim = 1 << (t + 1)              # noisy qubits standing in for clean ones
     crest_dim = k_dim >> (t + 1)        # clean qubits still clean inside the gates
-    new_w = w_dim * sim_dim * 2         # (w, sim, coin)
-    new_k = crest_dim * 2               # (crest, flag)
-    new_space = IndexSpace(n_dim, new_w, new_k)
+    # workspace (w, sim, coin), clean register (crest, flag)
+    new_space = IndexSpace(n_dim, w_dim * sim_dim * 2, crest_dim * 2)
     m_new = new_space.total_dim
 
     flat = np.arange(m_new)
-    flag = flat % 2
-    crest = (flat // 2) % crest_dim
-    wprime = (flat // new_k) % new_w
-    i_part = flat // (new_k * new_w)
-    coin = wprime % 2
-    sim = (wprime // 2) % sim_dim
-    w_part = wprime // (2 * sim_dim)
+    i_part, w_part, sim, coin, crest, flag = np.unravel_index(
+        flat, (n_dim, w_dim, sim_dim, 2, crest_dim, 2))
     c_orig = sim * crest_dim + crest
     orig = (i_part * w_dim + w_part) * k_dim + c_orig
     pos = (orig * 2 + coin) * 2 + flag
@@ -612,9 +636,7 @@ def spec_from_json(doc: dict):
     if "restriction" in doc:
         if not isinstance(doc["restriction"], str):
             raise ValueError(f"spec 'restriction' must be a string, got {doc['restriction']!r}")
-        rho = Restriction.from_string(doc["restriction"])
-        if len(rho) != space.oracle_dim:
-            raise ValueError("restriction length must match the oracle register dimension")
+        rho = spec.restriction(Restriction.from_string(doc["restriction"]))
     return spec, rho
 
 

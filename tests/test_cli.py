@@ -3,6 +3,7 @@ import builtins
 import importlib
 import json
 import os
+import re
 import runpy
 import subprocess
 import sys
@@ -344,6 +345,13 @@ def no_draws(monkeypatch):
      "resource error: register of dimension M = 16384 needs 4 GiB"),
     (["reduce", "--n", "2", "--w", "8", "--k", "2", "--t", "1"],
      "resource error: register of dimension M = 16384 needs 4 GiB"),
+    (["tightness", "--n", "20000"], "resource error: truth table over 3 * 2^20000 coordinates"),
+    (["forrelation", "--n", "3", "--k", "679", "--trials", "1"],
+     "error: --k 679 at --n 3 rounds the default --eps (log2 N)^-k to 0.0; pass --eps"),
+    (["forrelation", "--n", "2", "--k", "1075", "--trials", "1"], "--k 1075 at --n 2"),
+    (["forrelation", "--n", "12", "--k", "300", "--trials", "1"],
+     "resource error: instance of 300 blocks of N = 2^12 needs 300 * 2^12 entries"),
+    (["forrelation", "--n", "12", "--k", "257", "--eps", "0.1"], "above the 2^20 cap"),
 ], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
         "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
@@ -357,7 +365,9 @@ def no_draws(monkeypatch):
         "growth-bqp-k-minus-1", "growth-half-bqp-k-minus-2", "forrelation-k-0",
         "forrelation-k-minus-3", "forrelation-eps-0", "forrelation-eps-minus-1",
         "forrelation-eps-nan", "forrelation-eps-inf", "spectrum-no-spec", "growth-register-cap",
-        "reduce-reduced-register-cap"])
+        "reduce-reduced-register-cap", "tightness-n-20000", "forrelation-default-eps-0",
+        "forrelation-default-eps-0-n-2", "forrelation-instance-cap",
+        "forrelation-instance-cap-with-eps"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):
     out = tmp_path / "rows.csv"
     assert main(argv + ["--workers", "1", "--out", str(out)]) == 2
@@ -546,6 +556,37 @@ def test_resource_limit_error_is_the_only_exception_class():
     assert found == {("errors", "ResourceLimitError")}
 
 
+def test_no_module_uses_a_private_name_of_another():
+    # a name with a leading underscore belongs to its own module
+    modules = {path.stem for path in ROOT.glob("src/qgrowth/*.py")}
+    found = []
+    for path in sorted(ROOT.glob("src/qgrowth/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {}  # local name -> sibling module
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for alias in node.names:
+                    if node.module is None and alias.name in modules:
+                        aliases[alias.asname or alias.name] = alias.name
+                    elif alias.name.startswith("_"):
+                        found.append((path.stem, f"{node.module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                    and isinstance(node.value, ast.Name) and node.value.id in aliases):
+                found.append((path.stem, f"{aliases[node.value.id]}.{node.attr}"))
+    assert found == []
+
+
+def test_readme_shell_blocks_name_only_existing_paths():
+    # a command block that names a deleted script or spec goes stale silently
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```sh\n(.*?)^```", text, flags=re.M | re.S)
+    paths = re.findall(r"(?<![\w/.-])((?:scripts|specs|tests|perfbench|src)/[\w./-]+)",
+                       "\n".join(blocks))
+    assert paths, "no checkout path found in any shell block"
+    assert [path for path in paths if not (ROOT / path).exists()] == []
+
+
 def _perfbench_references():
     """Every (module, dotted name) that perfbench/*.py takes from qgrowth:
     ``from qgrowth... import`` names and attribute chains on imported modules."""
@@ -670,15 +711,6 @@ def test_reduce_deviation_matches_per_input_bias_loop(capsys):
             x = np.where((mask >> np.arange(4)) & 1, -1.0, 1.0)
             want = max(want, abs(models.bias(reduced, x) - 0.25 * models.bias(spec, x)))
         assert got == want
-
-
-def test_signed_growth_report_script_runs(monkeypatch, capsys):
-    script = ROOT / "scripts" / "run_signed_growth_report.py"
-    monkeypatch.setattr(sys, "argv", [str(script), "--trials", "1"])
-    with pytest.raises(SystemExit) as stop:
-        runpy.run_path(str(script), run_name="__main__")
-    assert stop.value.code == 0
-    assert capsys.readouterr().out.startswith("block size N, trials,")
 
 
 def test_package_entry_point_help(monkeypatch):
