@@ -6,7 +6,8 @@ table row carries the certified growth ceiling next to the observation, and ever
 artifact echoes its configuration: every option except --out, --format and
 --workers, which cannot change a result.  --format (csv or json) exists only
 for the commands that write rows: growth, forrelation, spectrum and
-hybrid-growth.  --seed, --restriction, --levels (distinct, in [1, N]), --d,
+hybrid-growth.  --seed, --restriction, --levels (distinct, in [L, N]: L = 2 for
+the mixed-start ceilings of dqck, dqc1 and hybrid-growth, else 1), --d,
 --k, --t, --w, --n and --eps (positive, finite) are checked, by name, before any
 gate or instance is drawn (growth's --k: default 1 for dqck, only 1 for dqc1, no
 effect but >= 0 for bqp and half-bqp, which echo 0), and so are the two caps: a
@@ -113,16 +114,18 @@ def _write_stdout(text: str) -> None:
         data = data[buffer.write(data):]
 
 
-def _parse_levels(text: str, big_n: int):
-    """``--levels`` as distinct integers in [1, N]; a level above N has no subsets."""
+def _parse_levels(text: str, allowed: range):
+    """``--levels`` as distinct integers in ``allowed``, [L, N]: L is the lowest level
+    the command's ceiling covers, and a level above N has no subsets."""
     try:
         levels = [int(part) for part in text.split(",") if part]
     except ValueError:
         raise ValueError(f"--levels takes comma-separated integers, got {text!r}") from None
     if not levels or len(set(levels)) < len(levels):
         raise ValueError(f"--levels needs distinct levels, at least one, got {text!r}")
-    if not all(1 <= level <= big_n for level in levels):
-        raise ValueError(f"--levels needs levels >= 1 and <= N = {big_n}, got {text!r}")
+    if not all(level in allowed for level in levels):
+        raise ValueError(f"--levels needs levels >= {allowed.start} and "
+                         f"<= N = {allowed.stop - 1}, got {text!r}")
     return levels
 
 
@@ -175,7 +178,8 @@ def cmd_growth(args) -> int:
         raise ValueError(f"--k must be >= 0, got {args.k}")
     args.k = (1 if args.k is None else args.k) if model is Model.DQCK else 0  # no effect on BQP
     space = _qubit_space(args)
-    levels = _parse_levels(args.levels, space.oracle_dim)
+    levels = _parse_levels(args.levels, range(2 if model is Model.DQCK else 1,
+                                              space.oracle_dim + 1))
     if model is Model.DQCK:
         ceilings = {level: bounds.dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
                     for level in levels}
@@ -323,7 +327,7 @@ def cmd_hybrid_growth(args) -> int:
     if args.k < 1:
         raise ValueError(f"DQCK needs at least one clean qubit, got --k {args.k}")
     space = _qubit_space(args)
-    levels = _parse_levels(args.levels, space.oracle_dim)
+    levels = _parse_levels(args.levels, range(2, space.oracle_dim + 1))
     ceilings = {level: bounds.hybrid_dqck_growth_ceiling(space.oracle_dim, args.k, args.d, level)
                 for level in levels}
     check_table_size(space.oracle_dim)
@@ -442,6 +446,10 @@ def main(argv=None) -> int:
 
 
 def _run(argv) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    for i in range(len(argv) - 1, 0, -1):  # argparse takes a pattern such as -+* for an option
+        if argv[i - 1] == "--restriction" and argv[i] and not argv[i].strip("+-*"):
+            argv[i - 1 : i + 1] = [f"--restriction={argv[i]}"]
     try:
         try:
             args = build_parser().parse_args(argv)

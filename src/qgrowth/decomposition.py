@@ -353,7 +353,8 @@ def brute_force_entry(
     d = spec.depth
     m = spec.space.total_dim
     if m ** (d - 1) > BRUTE_FORCE_GUARD:
-        raise ResourceLimitError(f"brute force needs {m ** (d - 1)} paths, over guard")
+        raise ResourceLimitError(
+            f"brute force needs {m ** (d - 1)} paths, guard is {BRUTE_FORCE_GUARD}")
     b_end = tuple(b_end)
     if len(b_end) != spec.q:
         raise ValueError(f"expected {spec.q} memory values, got {len(b_end)}")
@@ -395,7 +396,8 @@ def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
     m = spec.space.total_dim
     n = spec.space.oracle_dim
     if m ** (d + 1) > BRUTE_FORCE_GUARD:
-        raise ResourceLimitError("path tensor too large for the brute-force guard")
+        raise ResourceLimitError(
+            f"brute force needs {m ** (d + 1)} paths, guard is {BRUTE_FORCE_GUARD}")
     oracle_of = spec.space.oracle_parts()
     shape = (m, m, 1 << spec.tracked, n**spec.q)
     bins = np.zeros(shape, dtype=complex)
@@ -503,8 +505,6 @@ def random_decomposition_spec(
         n_dim = int(rng.choice([2, 4]))
         w_dim = int(rng.choice([1, 2]))
         m = n_dim * w_dim
-        if m > 8:
-            continue
         tracked = int(rng.integers(0, min(4, n_dim) + 1))
         skip = frozenset(int(t) for t in range(1, d + 1) if rng.random() < 0.25)
         slots = list(range(2, d + 1))
@@ -548,15 +548,15 @@ def random_decomposition_spec(
 def spectrum_via_decomposition(
     spec: AlgorithmSpec, rho: Optional[Restriction] = None
 ) -> "_fourier.FourierSpectrum":
-    """All Fourier coefficients of a DQCK acceptance read off the factorization.
+    """All Fourier coefficients of a BQP or DQCK acceptance read off the factorization.
 
     The closed-form matrices are decomposed with full parity tracking over
     the free coordinates; the coefficient at S is the normalized sum of the
     diagonal boundary entries whose recorded parity is S corrected by the
     first index's own contribution.
     """
-    if spec.model is not Model.DQCK:
-        raise ValueError("decomposition read-off applies to DQCK trace forms")
+    if spec.model is Model.HALF_BQP:
+        raise ValueError("decomposition read-off applies to the BQP and DQCK trace forms")
     vs, free_count, _, _ = spec.restricted_chain(rho)
     built = decompose_improved(DecompositionSpec(spec.space, tuple(vs), tracked=free_count))
     m = spec.space.total_dim

@@ -242,20 +242,18 @@ def direct_restricted_spectrum(
     coordinate in increasing order.  Bin S collects tuples whose free phase
     indices have symmetric difference S.
 
-    A tuple is a path I_0 ... I_L through the L matrices, weighted by
-    V_0[I_0, I_1] ... V_{L-1}[I_{L-1}, I_L]; BQP pins both ends to the old
-    basis state 0, the trace forms close the cycle (I_L = I_0).  The tuples
-    are enumerated by broadcasting, in blocks of at most 2^16: each block
-    fixes a prefix of leading indices and spans the rest as one tensor,
-    built left to right as ``w[..., None] * V_t``.  Its parity masks are an
-    XOR broadcast of per-slot bits, and two ``np.bincount`` calls (real and
-    imaginary parts) add the block into the bins."""
+    A tuple is a closed path I_0 ... I_{L-1} I_0 through the L matrices,
+    weighted by V_0[I_0, I_1] ... V_{L-1}[I_{L-1}, I_0] (HALF_BQP also by
+    F[I_0, I_{d+1}]), and the sum is divided by the model's start count |S|.
+    The tuples are enumerated by broadcasting, in blocks of at most 2^16:
+    each block fixes a prefix of leading indices and spans the rest as one
+    tensor, built left to right as ``w[..., None] * V_t``.  Its parity masks
+    are an XOR broadcast of per-slot bits, and two ``np.bincount`` calls (real
+    and imaginary parts) add the block into the bins."""
     vs, free_count, skip, old_of_new = spec.restricted_chain(rho)
     m = spec.space.total_dim
     count = len(vs)
-    pinned = spec.model is Model.BQP
-    summed = count - 1 if pinned else count
-    tuple_count = m**summed
+    tuple_count = m**count
     if tuple_count > DIRECT_SUM_GUARD:
         raise ResourceLimitError(
             f"direct summation needs {tuple_count} tuples, guard is {DIRECT_SUM_GUARD}"
@@ -263,13 +261,12 @@ def direct_restricted_spectrum(
     oracle_of = spec.space.oracle_parts()
     bit = np.where(oracle_of < free_count, np.int64(1) << oracle_of, 0)
     slot_bits = [np.zeros(m, dtype=np.int64) if t in skip else bit for t in range(count)]
-    # slots before `lead` are fixed per block, the rest are the block's axes
+    # slots before `prefix` are fixed per block, the rest are the block's axes
     prefix = 1
-    while m ** (summed - prefix) > _DIRECT_BLOCK:
+    while m ** (count - prefix) > _DIRECT_BLOCK:
         prefix += 1
-    lead = prefix + pinned
     masks = np.zeros((), dtype=np.int64)
-    for t in range(lead, count):
+    for t in range(prefix, count):
         masks = masks[..., None] ^ slot_bits[t]
     masks = masks.reshape(-1)
     if spec.model is Model.HALF_BQP:
@@ -277,28 +274,25 @@ def direct_restricted_spectrum(
         # keeps M^(d+1) <= sqrt(DIRECT_SUM_GUARD) < 2^16, so no block fixes it
         tail = (1,) * (count - 2 - spec.d)
         accept = spec.accept[old_of_new][:, old_of_new].reshape((m, m) + tail)
-    pin = np.flatnonzero(old_of_new == 0)[0]
     bins = np.zeros(1 << free_count, dtype=complex)
-    for head in np.ndindex((m,) * prefix):
-        path = (pin,) + head if pinned else head
+    for path in np.ndindex((m,) * prefix):
         w = 1.0
-        for t in range(lead - 1):
+        for t in range(prefix - 1):
             w = w * vs[t][path[t], path[t + 1]]
-        w = w * vs[lead - 1][path[lead - 1]]
-        for t in range(lead, count - 1):
+        w = w * vs[prefix - 1][path[prefix - 1]]
+        for t in range(prefix, count - 1):
             w = w[..., None] * vs[t]
-        w = w * vs[-1][:, pin if pinned else path[0]]
+        w = w * vs[-1][:, path[0]]
         if spec.model is Model.HALF_BQP:
             w = w * accept[path[0]]
         fixed = 0
-        for t in range(lead):
+        for t in range(prefix):
             fixed ^= int(slot_bits[t][path[t]])
         w = w.reshape(-1)
         block = masks ^ fixed
         bins.real += np.bincount(block, w.real, minlength=bins.size)
         bins.imag += np.bincount(block, w.imag, minlength=bins.size)
-    if spec.model is not Model.BQP:
-        bins /= spec.start_indices().size
+    bins /= spec.start_indices().size
     if np.max(np.abs(bins.imag)) > IMAG_TOL:
         raise ValueError("direct coefficient sums came out non-real")
     return FourierSpectrum(free_count, bins.real)

@@ -18,7 +18,9 @@ it on chunks of ``max(256, 4096 // S)`` inputs, S the number of starts, and
 ``acceptance_direct`` is a batch of one.  ``acceptance_formula`` evaluates
 the closed-form matrix-product expression for the same quantity and shares
 no code with the kernel; the two must agree to 1e-9, which the test suite
-certifies.
+certifies.  The closed forms differ only by whether the start is revealed:
+BQP and DQCK share one trace form over their start set (BQP's is {0}), and
+HALF_BQP, whose start is revealed, has a bilinear form.
 
 The oracle is a pure phase, so O_{-x} = -O_x and every final state only picks
 up a global (-1)^d: every model's acceptance is even, f(-x) = f(x).  A truth
@@ -196,8 +198,8 @@ class AlgorithmSpec:
     def formula_matrices(self) -> tuple:
         """Bounded-norm matrix arrangement of the closed-form acceptance expression.
 
-        BQP: f = <0| V_1 O V_2 ... O V_{2d+1} |0>.
-        DQCK: f = (NW)^{-1} Tr((O V_1)(O V_2)...(O V_{2d})).
+        BQP, DQCK: f = |S|^{-1} Tr((O V_1)(O V_2)...(O V_{2d})), the trace form
+            with V_1 = U_0 Pi_S U_0^dagger over the start set S (BQP: S = {0}).
         HALF_BQP: f = M^{-1} sum_{a,b} F[a,b] L[a,b] R[b,a] with
             L = V_1 O ... O V_{d+1} and R = V_{d+2} O ... O V_{2d+2}.
 
@@ -205,15 +207,11 @@ class AlgorithmSpec:
         """
         gates = self.unitaries
         d = self.d
-        if self.model is Model.BQP:
-            proj = np.diag(self.accept.astype(complex))
-            middle = gates[d].conj().T @ proj @ gates[d]
-            mats = (
-                [gates[t].conj().T for t in range(d)]
-                + [middle]
-                + [gates[t] for t in range(d - 1, -1, -1)]
-            )
-        elif self.model is Model.DQCK:
+        if self.model is Model.HALF_BQP:
+            mats = [gates[t].conj().T for t in range(d + 1)] + [
+                gates[t] for t in range(d, -1, -1)
+            ]
+        else:
             start_proj = np.zeros(self.space.total_dim, dtype=complex)
             start_proj[self.start_indices()] = 1.0
             first = gates[0] @ (start_proj[:, None] * gates[0].conj().T)
@@ -224,10 +222,6 @@ class AlgorithmSpec:
                 + [middle]
                 + [gates[t] for t in range(d - 1, 0, -1)]
             )
-        else:
-            mats = [gates[t].conj().T for t in range(d + 1)] + [
-                gates[t] for t in range(d, -1, -1)
-            ]
         for mat in mats:
             mat.setflags(write=False)
         return tuple(mats)
@@ -247,12 +241,7 @@ class AlgorithmSpec:
         old_of_new = order[flats // wk] * wk + flats % wk
         vs = [mat[np.ix_(old_of_new, old_of_new)] for mat in self.formula_matrices]
         damp = np.where(rho.pattern == 0, 1, rho.pattern).astype(float)[old_of_new // wk]
-        if self.model is Model.DQCK:
-            skip = set()
-        elif self.model is Model.BQP:
-            skip = {0}
-        else:
-            skip = {0, self.d + 1}
+        skip = {0, self.d + 1} if self.model is Model.HALF_BQP else set()
         vs = [mat if t in skip else damp[:, None] * mat for t, mat in enumerate(vs)]
         return vs, int(rho.free_indices.size), skip, old_of_new
 
@@ -274,16 +263,15 @@ def acceptance_formula(spec: AlgorithmSpec, x: np.ndarray) -> float:
     """Acceptance probability by the matrix-product expression (not simulation)."""
     phases = phase_vector(x, spec.space)
     vs = spec.formula_matrices
-    if spec.model is Model.BQP:
-        vec = vs[-1][:, 0]
-        for mat in vs[-2::-1]:
-            vec = mat @ (phases * vec)
-        return _real(vec[0], "BQP acceptance formula")
-    if spec.model is Model.DQCK:
-        chain = phases[:, None] * vs[0]
+    if spec.model is not Model.HALF_BQP:
+        # Tr(O V_1 O V_2 ... O V_2d) with V_1 = A A^dagger, A = U_0[:, S], is
+        # Tr(A^dagger O V_2 ... O V_2d O A): |S| rows, never an M x M product
+        adjoint = spec.unitaries[0].take(spec.start_indices(), axis=1).conj().T
+        rows = adjoint * phases
         for mat in vs[1:]:
-            chain = chain @ (phases[:, None] * mat)
-        return _real(np.trace(chain) / spec.start_indices().size, "DQCK acceptance formula")
+            rows = (rows @ mat) * phases
+        total = np.vdot(adjoint, rows) / len(adjoint)
+        return _real(total, f"{spec.model.value} acceptance formula")
     half = len(vs) // 2
     left = vs[0]
     for mat in vs[1:half]:

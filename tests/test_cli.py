@@ -288,9 +288,14 @@ def no_draws(monkeypatch):
 
 
 @pytest.mark.parametrize("argv, words", [
-    (["growth", "--model", "dqck", "--levels", "1", "--trials", "3"], "levels >= 2"),
-    (["growth", "--model", "bqp", "--levels", "0,2"], "levels >= 1"),
-    (["hybrid-growth", "--levels", "1"], "levels >= 2"),
+    (["growth", "--model", "dqck", "--levels", "1", "--trials", "3"],
+     "error: --levels needs levels >= 2 and <= N = 4, got '1'"),
+    (["growth", "--model", "bqp", "--levels", "0,2"],
+     "error: --levels needs levels >= 1 and <= N = 4, got '0,2'"),
+    (["hybrid-growth", "--levels", "1"],
+     "error: --levels needs levels >= 2 and <= N = 4, got '1'"),
+    (["growth", "--model", "dqc1", "--levels", "1,2"],
+     "error: --levels needs levels >= 2 and <= N = 4, got '1,2'"),
     (["growth", "--model", "bqp", "--n", "10", "--w", "1", "--trials", "1"], "2^1024 entries"),
     (["hybrid-growth", "--n", "9"], "2^512 entries"),
     (["reduce", "--n", "5", "--k", "2"], "2^32 entries"),
@@ -315,7 +320,7 @@ def no_draws(monkeypatch):
     (["growth", "--model", "bqp", "--n", "1", "--levels", "9"],
      "--levels needs levels >= 1 and <= N = 2, got '9'"),
     (["hybrid-growth", "--n", "1", "--levels", "2,3"],
-     "--levels needs levels >= 1 and <= N = 2, got '2,3'"),
+     "--levels needs levels >= 2 and <= N = 2, got '2,3'"),
     (["growth", "--levels", "2,x"], "--levels takes comma-separated integers, got '2,x'"),
     (["hybrid-growth", "--levels", "2.5"], "--levels takes comma-separated integers"),
     (["growth", "--n", "0"], "--n must lie in [1, 20], got 0"),
@@ -352,8 +357,8 @@ def no_draws(monkeypatch):
     (["forrelation", "--n", "12", "--k", "300", "--trials", "1"],
      "resource error: instance of 300 blocks of N = 2^12 needs 300 * 2^12 entries"),
     (["forrelation", "--n", "12", "--k", "257", "--eps", "0.1"], "above the 2^20 cap"),
-], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-cap",
-        "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
+], ids=["growth-level-1", "growth-bqp-level-0", "hybrid-level-1", "growth-dqc1-level-1",
+        "growth-cap", "hybrid-cap", "reduce-cap", "restriction-length", "restriction-p-range",
         "restriction-p-text", "growth-dqck-k-0", "hybrid-k-0", "reduce-t-not-below-k",
         "hybrid-d-0", "forrelation-n-40", "forrelation-n-minus-1", "forrelation-n-0",
         "growth-seed-minus-1", "forrelation-seed-minus-1", "verify-seed-minus-1",
@@ -377,6 +382,22 @@ def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsy
     assert words in err
     assert no_draws == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, pattern", [
+    (["growth", "--model", "bqp", "--n", "1", "--d", "1", "--levels", "1", "--trials", "1"],
+     "-+"),
+    (["spectrum", "--spec", str(ROOT / "specs" / "example_bqp.json")], "-*+*"),
+    (["spectrum", "--spec", str(ROOT / "specs" / "example_bqp.json")], "--*+"),
+], ids=["growth", "spectrum", "spectrum-double-dash"])
+def test_dash_leading_restriction_is_its_own_argument(argv, pattern, capsys):
+    # argparse would read -+ as an option; _run binds it to --restriction
+    runs = []
+    for form in (["--restriction", pattern], [f"--restriction={pattern}"]):
+        code = main(argv + form + ["--workers", "1"])
+        runs.append((code, capsys.readouterr()))
+    assert runs[0] == runs[1]
+    assert runs[0][0] == 0 and runs[0][1].out
 
 
 @pytest.mark.parametrize("argv", [
@@ -574,6 +595,15 @@ def test_no_module_uses_a_private_name_of_another():
             if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
                     and isinstance(node.value, ast.Name) and node.value.id in aliases):
                 found.append((path.stem, f"{aliases[node.value.id]}.{node.attr}"))
+    assert found == []
+
+
+def test_no_module_names_the_bqp_model():
+    # the closed forms branch only on HALF_BQP: BQP is the trace form of its start set {0}
+    found = [(path.stem, node.lineno) for path in sorted(ROOT.glob("src/qgrowth/*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Attribute) and node.attr == "BQP"
+             and isinstance(node.value, ast.Name) and node.value.id == "Model"]
     assert found == []
 
 

@@ -240,6 +240,16 @@ def test_brute_force_tensor_consistent_with_entry():
                     assert bins[i1, ie, s, b] == pytest.approx(want, abs=1e-12)
 
 
+def test_brute_force_guards_state_the_path_count():
+    spec = DecompositionSpec(IndexSpace(16, 1, 1), (np.eye(16),) * 7, tracked=1)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^brute force needs 4294967296 paths, guard is 10000000$"):
+        brute_force_tensor(spec)
+    with pytest.raises(ResourceLimitError,
+                       match=r"^brute force needs 16777216 paths, guard is 10000000$"):
+        brute_force_entry(spec, 0, 0, 0)
+
+
 def test_verify_identities_and_norm_precondition():
     spec = DecompositionSpec(IndexSpace(2, 1, 1), (np.eye(2),) * 3, tracked=2)
     report = verify(spec)
@@ -365,13 +375,14 @@ def test_spectrum_via_decomposition_constant_circuit():
 
 def test_spectrum_via_decomposition_matches_transform():
     rng = np.random.default_rng(97)
-    space = IndexSpace.qubits(1, 0, 1)
-    for _ in range(3):
-        spec = random_spec(Model.DQCK, space, 2, rng)
-        for rho in (None, Restriction.from_string("*-")):
-            got = spectrum_via_decomposition(spec, rho)
-            want = spectrum_of_algorithm(spec, rho)
-            assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+    for model, space in ((Model.DQCK, IndexSpace.qubits(1, 0, 1)),
+                         (Model.BQP, IndexSpace.qubits(1, 1, 0))):
+        for _ in range(3):
+            spec = random_spec(model, space, 2, rng)
+            for rho in (None, Restriction.from_string("*-"), Restriction.from_string("+*")):
+                got = spectrum_via_decomposition(spec, rho)
+                want = spectrum_of_algorithm(spec, rho)
+                assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
 
 
 def test_spectrum_via_decomposition_on_tightness_circuit():
@@ -385,6 +396,6 @@ def test_spectrum_via_decomposition_on_tightness_circuit():
 
 def test_spectrum_via_decomposition_rejects_other_models():
     rng = np.random.default_rng(98)
-    spec = random_spec(Model.BQP, IndexSpace.qubits(1), 1, rng)
-    with pytest.raises(ValueError, match="applies to DQCK trace forms"):
+    spec = random_spec(Model.HALF_BQP, IndexSpace.qubits(1), 1, rng)
+    with pytest.raises(ValueError, match="applies to the BQP and DQCK trace forms"):
         spectrum_via_decomposition(spec)
