@@ -24,6 +24,8 @@ from .models import AlgorithmSpec, Model, Restriction, truth_table
 DIRECT_SUM_GUARD = 10**7
 #: Most index tuples one direct-summation block spans.
 _DIRECT_BLOCK = 1 << 16
+#: Largest working set, in bytes, of the level-3 block extractor.
+BLOCK_TENSOR_GUARD = 1 << 30
 #: Rounding slack on the |gamma_i| <= 1 bound of the structured sign families.
 GAMMA_SLACK = 1e-12
 
@@ -307,16 +309,29 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     2-query HALF_BQP algorithm over 3B input bits, as a (B, B, B) tensor of
     block-local indices.
 
-    Works at sizes where the full truth table is far out of reach.  The
-    acceptance sums index tuples that carry x at four phase slots: the rows
-    of V2, V3, V5 and V6 of ``AlgorithmSpec.formula_matrices``.  Their
-    phases multiply to x_a x_b x_c, for distinct free a, b, c, only when
-    three slots carry the letters and the fourth carries a fixed coordinate
-    j, weighted rho_j.  So each fixed slot is one contraction that keeps the
-    other three slots' oracle indices in slot order, with the fixed slot's
-    rows weighted rho_j at fixed coordinates and zeroed at free ones.  The
-    sum over fixed slots is added over the six orders of its axes, since a
-    coefficient does not depend on which slot holds which letter.
+    Works at sizes where the full truth table is far out of reach.  With
+    V1..V6 = ``AlgorithmSpec.formula_matrices`` and F = ``accept``, M times the
+    acceptance sums F[x, y] V1[x, p] x_p V2[p, q] x_q V3[q, y] V4[y, r] x_r
+    V5[r, t] x_t V6[t, x] over positions, x_p the bit of p's coordinate.  The
+    phases multiply to x_a x_b x_c, for distinct free a, b, c, only when three
+    slots carry the letters and the fourth a fixed coordinate j, weighted
+    rho_j.  Each fixed slot folds D (rho_j on fixed positions, 0 on free ones)
+    into its neighbour pair: P = V1 D V2, Q = V2 D V3, R = V4 D V5 and
+    T = V5 D V6 for slots p, q, r and t.  Only products whose three kept
+    slots lie in three different blocks are formed:
+
+    * the y sum K[x, u, v] = sum_y F[x, y] X[u, y] Y[y, v] is one real GEMM
+      per u-block (F is 0/1, so the complex operand is viewed as real), over
+      v in the two other blocks; (X, Y) = (V3, V4) serves the fixed slots p
+      and t, (Q, V4) slot q and (V3, R) slot r;
+    * for each fixed slot and each of the 6 assignments of the blocks to the
+      kept slots, the x sum is one GEMM onto a (B W)^3 block, W positions a
+      coordinate; the left-over V5[r, t] or V2[p, q] entry multiplies it, and
+      each letter's W positions are summed into the (block 0, block 1,
+      block 2) tensor.
+
+    A working set above ``BLOCK_TENSOR_GUARD`` bytes is refused before the
+    first product.
     """
     if spec.model is not Model.HALF_BQP:
         raise ValueError("level-3 block tensor applies to HALF_BQP algorithms")
@@ -327,22 +342,52 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
         raise ValueError("three-block structure needs input length divisible by 3")
     rho = spec.restriction(rho)
     m = spec.space.total_dim
-    wk = m // n
+    wk, size = m // n, m // 3  # positions per coordinate, per block
+    need = 128 * m * size**2  # K (6 M size^2 complex) and its GEMM operand (2 M size^2)
+    if need > BLOCK_TENSOR_GUARD:
+        raise ResourceLimitError(
+            f"level-3 block tensor needs {need} bytes, guard is {BLOCK_TENSOR_GUARD}"
+        )
+    v1, v2, v3, v4, v5, v6 = spec.formula_matrices
     fixed = np.repeat(rho.pattern.astype(float), wk)[:, None]  # rho_j on fixed rows, 0 on free
     accept = spec.accept.astype(float)
-    shapes = ((m, n, wk), (n, wk, n, wk), (n, wk, m)) * 2
-    out = np.zeros((n, n, n))
-    for row, kept in ((1, "QRT"), (2, "PRT"), (4, "PQT"), (5, "PQR")):
-        mats = [fixed * mat if t == row else mat for t, mat in enumerate(spec.formula_matrices)]
-        operands = [mat.reshape(shape) for mat, shape in zip(mats, shapes)]
-        # numpy caps intermediates at the largest operand by default, which at
-        # W > 1 forces a 6-way loop; three letters and a work pair fit n^3 W^2
-        out += np.einsum("xy,xPU,PUQV,QVy,yRS,RSTW,TWx->" + kept, accept, *operands,
-                         optimize=("greedy", n**3 * wk**2)).real
-    out = sum(out.transpose(order) for order in permutations(range(3))) / m
+    blocks = [slice(b * size, (b + 1) * size) for b in range(3)]
+    tensor = np.zeros((n // 3,) * 3)
+    # buffers reused by every product, so each is faulted in once: K per u-block
+    # as [x, u, other block, v], and one GEMM operand (a u-block's Z, then an x
+    # sum's (M, size, size) factor, in its first half)
+    pair = np.empty((3, m, size, 2, size), dtype=complex)
+    scratch = np.empty(2 * m * size**2, dtype=complex)
+    z = scratch.reshape(m, size, 2, size)
+    h = scratch[: m * size**2].reshape(m, size, size)
+    prod = np.empty((size, size**2), dtype=complex)
+    fold_p, fold_q, fold_r, fold_t = (
+        v1 @ (fixed * v2), v2 @ (fixed * v3), v4 @ (fixed * v5), v5 @ (fixed * v6))
+    # each K's (X, Y) and the x sums that read it, as (factor on u's side?, factor)
+    for left, right, terms in ((v3, v4, [(True, fold_p), (False, fold_t)]),
+                               (fold_q, v4, [(True, v1)]), (v3, fold_r, [(False, v6)])):
+        for u in range(3):
+            others = [b for b in range(3) if b != u]
+            np.multiply(left[blocks[u]].T[:, :, None, None],
+                        right.reshape(m, 3, size)[:, None, others], out=z)
+            np.matmul(accept, z.view(float).reshape(m, -1), out=pair[u].view(float).reshape(m, -1))
+        for on_u, factor in terms:
+            for u, v, t in permutations(range(3)):
+                k = pair[u, :, :, v - (v > u)]  # K[x, u, v]: v's place among the other blocks
+                if on_u:  # sum_x factor[x, u] K[x, u, v] V6[t, x] * V5[v, t]
+                    np.multiply(factor[:, blocks[u], None], k, out=h)
+                    np.matmul(v6[blocks[t]], h.reshape(m, -1), out=prod)
+                    entry = v5[blocks[v], blocks[t]].T[:, None, :]
+                else:  # sum_x V1[x, t] K[x, u, v] factor[v, x] * V2[t, u]
+                    np.multiply(k, factor[blocks[v]].T[:, None, :], out=h)
+                    np.matmul(v1[:, blocks[t]].T, h.reshape(m, -1), out=prod)
+                    entry = v2[blocks[t], blocks[u]][:, :, None]
+                part = prod.reshape((size,) * 3)  # axes (t, u, v)
+                part *= entry
+                part = part.real.reshape(n // 3, wk, n // 3, wk, n // 3, wk).sum(axis=(1, 3, 5))
+                tensor += part.transpose(np.argsort((t, u, v)))
     free = (rho.pattern == 0).reshape(3, -1)
-    tensor = out.reshape(3, n // 3, 3, n // 3, 3, n // 3)[0, :, 1, :, 2]
-    return tensor * free[0][:, None, None] * free[1][:, None] * free[2]
+    return tensor / m * free[0][:, None, None] * free[1][:, None] * free[2]
 
 
 def hbqp_alpha_signed_growth(

@@ -152,12 +152,17 @@ def random_unitary(dim: int, seed: int) -> np.ndarray:
     return q * phases
 
 
-def phase_vector(x: np.ndarray, space: IndexSpace) -> np.ndarray:
-    """Diagonal of the phase oracle as a length-M vector (entry x_i at (i,w,c))."""
+def oracle_input(x: np.ndarray, space: IndexSpace) -> np.ndarray:
+    """``x`` as floats, refused unless it is one input of length N."""
     x = np.asarray(x, dtype=float)
     if x.shape != (space.oracle_dim,):
         raise ValueError(f"phase oracle input has length {x.shape}, expected ({space.oracle_dim},)")
-    return np.repeat(x, space.work_dim * space.clean_dim)
+    return x
+
+
+def phase_vector(x: np.ndarray, space: IndexSpace) -> np.ndarray:
+    """Diagonal of the phase oracle as a length-M vector (entry x_i at (i,w,c))."""
+    return np.repeat(oracle_input(x, space), space.work_dim * space.clean_dim)
 
 
 def is_unitary(a: np.ndarray) -> bool:

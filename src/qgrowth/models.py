@@ -49,6 +49,7 @@ from .linalg import (
     check_table_size,
     hadamard_matrix,
     is_unitary,
+    oracle_input,
     phase_vector,
     random_unitary,
 )
@@ -182,17 +183,22 @@ class AlgorithmSpec:
 
     @cached_property
     def _kernel_plan(self) -> tuple:
-        """Kernel GEMM operands: gate 1 takes start s to sum_i x_i C[i, s], with
-        C[i, s] = U_1[:, block_i] @ U_0[block_i, s] over coordinate i's W*K
-        positions; ``fold`` is C as a real (N, 2*S*R) matrix.  ``last`` is the
-        transposed last gate, its rows cut to ``accept`` for BQP/DQCK (R =
-        |accept|), which C uses when d = 1."""
+        """Kernel operands (fold, last, S, accept): gate 1 takes start s to
+        sum_i x_i C[i, s], with C[i, s] = U_1[:, block_i] @ U_0[block_i, s] over
+        coordinate i's W*K positions; ``fold`` is C as a real (N, 2*S*R) matrix.
+        ``last`` is the transposed last gate, its rows cut to ``accept`` for
+        BQP/DQCK (R = |accept|), which C uses when d = 1.  S is the start count;
+        ``accept`` is HALF_BQP's (start, outcome) mask as one float row, None
+        for BQP/DQCK, which sum every kept outcome."""
         n, m = self.num_inputs, self.space.total_dim
+        starts = self.start_indices()
         last = self.unitaries[-1][... if self.model is Model.HALF_BQP else self.accept]
         second = last if self.d == 1 else self.unitaries[1]
-        first = self.unitaries[0][:, self.start_indices()].reshape(n, m // n, -1)
+        first = self.unitaries[0][:, starts].reshape(n, m // n, -1)
         fold = (second.reshape(-1, n, m // n).transpose(1, 0, 2) @ first).transpose(0, 2, 1)
-        return np.ascontiguousarray(fold).view(float).reshape(n, -1), np.ascontiguousarray(last.T)
+        accept = self.accept.reshape(-1).astype(float) if self.model is Model.HALF_BQP else None
+        return (np.ascontiguousarray(fold).view(float).reshape(n, -1), np.ascontiguousarray(last.T),
+                starts.size, accept)
 
     @cached_property
     def formula_matrices(self) -> tuple:
@@ -226,6 +232,18 @@ class AlgorithmSpec:
             mat.setflags(write=False)
         return tuple(mats)
 
+    @cached_property
+    def _formula_weights(self) -> np.ndarray:
+        """What :func:`acceptance_formula` reads besides :attr:`formula_matrices`:
+        the start rows U_0[:, S]^dagger of the trace form (BQP/DQCK), or the
+        (start, outcome) mask as floats (HALF_BQP).  Read-only."""
+        if self.model is Model.HALF_BQP:
+            weights = self.accept.astype(float)
+        else:
+            weights = self.unitaries[0].take(self.start_indices(), axis=1).conj().T
+        weights.setflags(write=False)
+        return weights
+
     def restricted_chain(self, rho: Optional[Restriction]):
         """:attr:`formula_matrices` relabeled free-first, with ``rho``'s fixed signs baked in.
 
@@ -254,8 +272,7 @@ def _real(value: complex, what: str) -> float:
 
 def acceptance_direct(spec: AlgorithmSpec, x: np.ndarray) -> float:
     """Acceptance probability by state-vector simulation, a batch of one."""
-    x = np.asarray(x, dtype=float)
-    phase_vector(x, spec.space)  # raises ValueError on a wrong input length
+    x = oracle_input(x, spec.space)
     return float(_table_chunk(spec, x[None, :])[0])
 
 
@@ -266,7 +283,7 @@ def acceptance_formula(spec: AlgorithmSpec, x: np.ndarray) -> float:
     if spec.model is not Model.HALF_BQP:
         # Tr(O V_1 O V_2 ... O V_2d) with V_1 = A A^dagger, A = U_0[:, S], is
         # Tr(A^dagger O V_2 ... O V_2d O A): |S| rows, never an M x M product
-        adjoint = spec.unitaries[0].take(spec.start_indices(), axis=1).conj().T
+        adjoint = spec._formula_weights
         rows = adjoint * phases
         for mat in vs[1:]:
             rows = (rows @ mat) * phases
@@ -279,7 +296,7 @@ def acceptance_formula(spec: AlgorithmSpec, x: np.ndarray) -> float:
     right = vs[half]
     for mat in vs[half + 1 :]:
         right = right @ (phases[:, None] * mat)
-    total = np.einsum("ab,ab,ba->", spec.accept.astype(float), left, right)
+    total = np.einsum("ab,ab,ba->", spec._formula_weights, left, right)
     return _real(total / spec.space.total_dim, "HALF_BQP acceptance formula")
 
 
@@ -302,10 +319,9 @@ def _table_chunk(spec: AlgorithmSpec, x: np.ndarray) -> np.ndarray:
     ``x`` repeated M/N times (coordinate i owns M/N consecutive positions).
     BQP/DQCK sum the accepted outcomes; HALF_BQP applies its (start, outcome) mask.
     """
-    fold, last = spec._kernel_plan
-    starts = spec.start_indices()
+    fold, last, starts, accept = spec._kernel_plan
     b, m = len(x), spec.space.total_dim
-    slab = (x @ fold).view(complex).reshape(b, starts.size, -1)
+    slab = (x @ fold).view(complex).reshape(b, starts, -1)
     if spec.d > 1:
         per = m // spec.num_inputs
         phases = (x if per == 1 else np.repeat(x, per, axis=1))[:, None, :]
@@ -315,11 +331,8 @@ def _table_chunk(spec: AlgorithmSpec, x: np.ndarray) -> np.ndarray:
             slab *= phases
         slab = slab.reshape(-1, m) @ last
     probs = (np.abs(slab) ** 2).reshape(b, -1)
-    if spec.model is Model.HALF_BQP:
-        accepted = probs @ spec.accept[starts].reshape(-1)
-    else:
-        accepted = probs.sum(axis=1)
-    return accepted / starts.size
+    accepted = probs.sum(axis=1) if accept is None else probs @ accept
+    return accepted / starts
 
 
 def truth_table(
@@ -339,6 +352,9 @@ def truth_table(
     of ``chunk`` rows (default ``max(256, 4096 // S)``), each converted to
     float; with ``workers > 1`` they run on at most one thread each and are
     reassembled in index order, so results do not depend on the worker count.
+    The bits do not depend on ``chunk`` either as long as it is a multiple of
+    4: BLAS rounds the rows of a ragged block differently, so other chunks
+    may move entries in the last place.
     """
     n = spec.num_inputs
     rho = spec.restriction(rho)

@@ -236,7 +236,7 @@ def test_criterion_8_signed_growth():
     # reported ratios (no hard threshold: the constant is not pinned down)
     print("[criterion  8] signed level-3 ratio report, d=2 mixed-start runs:")
     d = 2
-    for block in (4, 8, 16):
+    for block in (4, 8, 16, 32, 64):
         spec = random_spec(Model.HALF_BQP, IndexSpace(3 * block, 1, 1), d, rng)
         pattern = np.zeros(3 * block, dtype=np.int8)
         fixed = rng.choice(3 * block, size=block // 2, replace=False)

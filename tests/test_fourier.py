@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrowth import fourier
 from qgrowth.cli import main
 from qgrowth.errors import ResourceLimitError
 from qgrowth.fourier import (
@@ -399,6 +400,41 @@ def test_hbqp_block_tensor_matches_embedded_transform(data, block, w, seed):
     masks = bits[0][:, None, None] | bits[1][:, None] | bits[2]
     assert tensor.shape == (block, block, block)
     assert np.max(np.abs(tensor - full[masks])) <= 1e-9
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    data=st.data(),
+    # block 3 at w = 2 sums 18^6 tuples, above DIRECT_SUM_GUARD
+    shape=st.sampled_from([(1, 1), (2, 1), (3, 1), (1, 2), (2, 2)]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_hbqp_block_tensor_matches_direct_sum(data, shape, seed):
+    block, w = shape
+    n = 3 * block
+    text = list(data.draw(st.text("+-*", min_size=n, max_size=n)))
+    if data.draw(st.booleans()):  # a fixed letter in every block
+        for b in range(3):
+            text[b * block + data.draw(st.integers(0, block - 1))] = data.draw(st.sampled_from("+-"))
+    rho = Restriction.from_string("".join(text))
+    spec = random_spec(Model.HALF_BQP, IndexSpace(n, w, 1), 2, np.random.default_rng(seed))
+    tensor = hbqp_level3_block_tensor(spec, rho)
+    direct = embed_spectrum(direct_restricted_spectrum(spec, rho), rho).coeffs
+    bits = (1 << np.arange(n)).reshape(3, block)
+    masks = bits[0][:, None, None] | bits[1][:, None] | bits[2]
+    assert np.max(np.abs(tensor - direct[masks])) <= 1e-9
+
+
+def test_hbqp_block_tensor_guard_states_its_bytes(monkeypatch):
+    # M = 6 and s = 2 positions a block: 128 M s^2 bytes
+    spec = random_spec(Model.HALF_BQP, IndexSpace(6, 1, 1), 2, np.random.default_rng(54))
+    free = Restriction.all_free(6)
+    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 3071)
+    with pytest.raises(ResourceLimitError, match="needs 3072 bytes, guard is 3071"):
+        hbqp_level3_block_tensor(spec, free)
+    assert "formula_matrices" not in vars(spec)  # refused before any product
+    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 3072)
+    assert hbqp_level3_block_tensor(spec, free).shape == (2, 2, 2)
 
 
 def test_hbqp_block_tensor_validation():

@@ -120,7 +120,8 @@ def test_formula_matrices_are_cached_and_read_only(model):
     mats = spec.formula_matrices
     assert isinstance(mats, tuple)
     assert spec.formula_matrices is mats
-    for mat in mats:
+    assert spec._formula_weights is spec._formula_weights
+    for mat in mats + (spec._formula_weights,):
         with pytest.raises(ValueError):
             mat[0, 0] = 0.0
 
@@ -343,6 +344,20 @@ def test_default_chunks_are_powers_of_two_and_multiples_of_4(model, monkeypatch)
         assert sum(rows) == 1 << (spec.num_inputs - 1)
         assert all(r & (r - 1) == 0 and r % 4 == 0 for r in rows[:-1])
         assert n < 4 or len(rows) > 1
+
+
+@pytest.mark.parametrize("restricted", [False, True])
+# one query at N = 16 keeps its 2^15-input sweeps in chunks of 4 under a second
+@pytest.mark.parametrize("n, d", [(3, 2), (4, 1)])
+@pytest.mark.parametrize("model", list(Model))
+def test_table_bits_hold_at_every_chunk_that_is_a_multiple_of_4(model, n, d, restricted):
+    rng = np.random.default_rng(60 + n)
+    spec = random_spec(model, _space(model, n), d, rng)
+    rho = random_restriction(spec.num_inputs, rng) if restricted else None
+    want = truth_table(spec, rho)
+    for chunk in (4, 8, 12, 64, 256, None):
+        for workers in (1, 2):
+            assert np.array_equal(truth_table(spec, rho, workers=workers, chunk=chunk), want)
 
 
 def _space(model, n=3):
