@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
-from itertools import permutations
 from typing import Optional
 
 import numpy as np
@@ -315,20 +314,19 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     V5[r, t] x_t V6[t, x] over positions, x_p the bit of p's coordinate.  The
     phases multiply to x_a x_b x_c, for distinct free a, b, c, only when three
     slots carry the letters and the fourth a fixed coordinate j, weighted
-    rho_j.  Each fixed slot folds D (rho_j on fixed positions, 0 on free ones)
-    into its neighbour pair: P = V1 D V2, Q = V2 D V3, R = V4 D V5 and
-    T = V5 D V6 for slots p, q, r and t.  Only products whose three kept
-    slots lie in three different blocks are formed:
-
-    * the y sum K[x, u, v] = sum_y F[x, y] X[u, y] Y[y, v] is one real GEMM
-      per u-block (F is 0/1, so the complex operand is viewed as real), over
-      v in the two other blocks; (X, Y) = (V3, V4) serves the fixed slots p
-      and t, (Q, V4) slot q and (V3, R) slot r;
-    * for each fixed slot and each of the 6 assignments of the blocks to the
-      kept slots, the x sum is one GEMM onto a (B W)^3 block, W positions a
-      coordinate; the left-over V5[r, t] or V2[p, q] entry multiplies it, and
-      each letter's W positions are summed into the (block 0, block 1,
-      block 2) tensor.
+    rho_j.  The chain is self-adjoint (V6 = V1^dagger, V5 = V2^dagger,
+    V4 = V3^dagger) and F is real, so the conjugate of a term with slot t fixed
+    is a term with slot p fixed, the letters relabeled, and slot r likewise
+    pairs with slot q: the tensor is twice the real part of the p and q terms.
+    With D = rho_j on fixed positions and 0 on free ones, each is a sum over x
+    of factor[x, u] K[x, u, v] V6[t, x] V5[v, t], where
+    K[x, u, v] = sum_y F[x, y] X[u, y] V4[y, v] and (X, factor) is (V3, V1 D V2)
+    for slot p and (V2 D V3, V1) for slot q.  Only products whose three kept
+    slots u, v, t lie in three different blocks are formed: per u-block, K is
+    one real GEMM over v in the two other blocks (F is 0/1, so the complex
+    operand is viewed as real), and each of the two choices of v's block is one
+    x-sum GEMM onto a (B W)^3 block, W positions a coordinate, whose letters'
+    W positions are summed into the tensor.
 
     A working set above ``BLOCK_TENSOR_GUARD`` bytes is refused before the
     first product.
@@ -343,7 +341,7 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     rho = spec.restriction(rho)
     m = spec.space.total_dim
     wk, size = m // n, m // 3  # positions per coordinate, per block
-    need = 128 * m * size**2  # K (6 M size^2 complex) and its GEMM operand (2 M size^2)
+    need = 64 * m * size**2  # K and its GEMM operand, 2 M size^2 complex each
     if need > BLOCK_TENSOR_GUARD:
         raise ResourceLimitError(
             f"level-3 block tensor needs {need} bytes, guard is {BLOCK_TENSOR_GUARD}"
@@ -353,41 +351,31 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     accept = spec.accept.astype(float)
     blocks = [slice(b * size, (b + 1) * size) for b in range(3)]
     tensor = np.zeros((n // 3,) * 3)
-    # buffers reused by every product, so each is faulted in once: K per u-block
-    # as [x, u, other block, v], and one GEMM operand (a u-block's Z, then an x
-    # sum's (M, size, size) factor, in its first half)
-    pair = np.empty((3, m, size, 2, size), dtype=complex)
+    # buffers reused by every product, so each is faulted in once: one u-block's
+    # K as [x, u, other block, v], and one GEMM operand (X[u, y] V4[y, v], then
+    # an x sum's (M, size, size) factor, in its first half)
+    k = np.empty((m, size, 2, size), dtype=complex)
     scratch = np.empty(2 * m * size**2, dtype=complex)
     z = scratch.reshape(m, size, 2, size)
     h = scratch[: m * size**2].reshape(m, size, size)
     prod = np.empty((size, size**2), dtype=complex)
-    fold_p, fold_q, fold_r, fold_t = (
-        v1 @ (fixed * v2), v2 @ (fixed * v3), v4 @ (fixed * v5), v5 @ (fixed * v6))
-    # each K's (X, Y) and the x sums that read it, as (factor on u's side?, factor)
-    for left, right, terms in ((v3, v4, [(True, fold_p), (False, fold_t)]),
-                               (fold_q, v4, [(True, v1)]), (v3, fold_r, [(False, v6)])):
-        for u in range(3):
-            others = [b for b in range(3) if b != u]
+    terms = ((v3, v1 @ (fixed * v2)), (v2 @ (fixed * v3), v1))  # (X, factor): slots p, q
+    for u in range(3):
+        others = [b for b in range(3) if b != u]
+        for left, factor in terms:
             np.multiply(left[blocks[u]].T[:, :, None, None],
-                        right.reshape(m, 3, size)[:, None, others], out=z)
-            np.matmul(accept, z.view(float).reshape(m, -1), out=pair[u].view(float).reshape(m, -1))
-        for on_u, factor in terms:
-            for u, v, t in permutations(range(3)):
-                k = pair[u, :, :, v - (v > u)]  # K[x, u, v]: v's place among the other blocks
-                if on_u:  # sum_x factor[x, u] K[x, u, v] V6[t, x] * V5[v, t]
-                    np.multiply(factor[:, blocks[u], None], k, out=h)
-                    np.matmul(v6[blocks[t]], h.reshape(m, -1), out=prod)
-                    entry = v5[blocks[v], blocks[t]].T[:, None, :]
-                else:  # sum_x V1[x, t] K[x, u, v] factor[v, x] * V2[t, u]
-                    np.multiply(k, factor[blocks[v]].T[:, None, :], out=h)
-                    np.matmul(v1[:, blocks[t]].T, h.reshape(m, -1), out=prod)
-                    entry = v2[blocks[t], blocks[u]][:, :, None]
+                        v4.reshape(m, 3, size)[:, None, others], out=z)
+            np.matmul(accept, z.view(float).reshape(m, -1), out=k.view(float).reshape(m, -1))
+            for i, v in enumerate(others):
+                t = others[1 - i]
+                np.multiply(factor[:, blocks[u], None], k[:, :, i], out=h)
+                np.matmul(v6[blocks[t]], h.reshape(m, -1), out=prod)
                 part = prod.reshape((size,) * 3)  # axes (t, u, v)
-                part *= entry
+                part *= v5[blocks[v], blocks[t]].T[:, None, :]
                 part = part.real.reshape(n // 3, wk, n // 3, wk, n // 3, wk).sum(axis=(1, 3, 5))
                 tensor += part.transpose(np.argsort((t, u, v)))
     free = (rho.pattern == 0).reshape(3, -1)
-    return tensor / m * free[0][:, None, None] * free[1][:, None] * free[2]
+    return 2 / m * tensor * free[0][:, None, None] * free[1][:, None] * free[2]
 
 
 def hbqp_alpha_signed_growth(

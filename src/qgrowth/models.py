@@ -352,6 +352,7 @@ def truth_table(
     of ``chunk`` rows (default ``max(256, 4096 // S)``), each converted to
     float; with ``workers > 1`` they run on at most one thread each and are
     reassembled in index order, so results do not depend on the worker count.
+    Each of the w pool threads gets one task that runs every w-th chunk.
     The bits do not depend on ``chunk`` either as long as it is a multiple of
     4: BLAS rounds the rows of a ragged block differently, so other chunks
     may move entries in the last place.
@@ -369,16 +370,16 @@ def truth_table(
     for j, coord in enumerate(rho.free_indices[: swept.bit_length() - 1].tolist()):
         rows.reshape(-1, 2 << j, n)[:, 1 << j :, coord] = -1  # masks with bit j set
 
-    def run(bounds):
-        lo, hi = bounds
-        out[lo:hi] = _table_chunk(spec, rows[lo:hi].astype(float))
+    def run(shard):
+        for lo, hi in shard:
+            out[lo:hi] = _table_chunk(spec, rows[lo:hi].astype(float))
 
-    if workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-            list(pool.map(run, chunks))
+    pool_size = min(workers, len(chunks))
+    if pool_size > 1:
+        with ThreadPoolExecutor(max_workers=pool_size) as pool:
+            list(pool.map(run, [chunks[i::pool_size] for i in range(pool_size)]))
     else:
-        for bounds in chunks:
-            run(bounds)
+        run(chunks)
     out[swept:] = out[: size - swept][::-1]  # empty when rho fixes a coordinate
     return out
 

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -426,15 +427,34 @@ def test_hbqp_block_tensor_matches_direct_sum(data, shape, seed):
 
 
 def test_hbqp_block_tensor_guard_states_its_bytes(monkeypatch):
-    # M = 6 and s = 2 positions a block: 128 M s^2 bytes
+    # M = 6 and s = 2 positions a block: 64 M s^2 bytes
     spec = random_spec(Model.HALF_BQP, IndexSpace(6, 1, 1), 2, np.random.default_rng(54))
     free = Restriction.all_free(6)
-    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 3071)
-    with pytest.raises(ResourceLimitError, match="needs 3072 bytes, guard is 3071"):
+    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 1535)
+    with pytest.raises(ResourceLimitError, match="needs 1536 bytes, guard is 1535"):
         hbqp_level3_block_tensor(spec, free)
     assert "formula_matrices" not in vars(spec)  # refused before any product
-    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 3072)
+    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 1536)
     assert hbqp_level3_block_tensor(spec, free).shape == (2, 2, 2)
+
+
+def test_hbqp_block_tensor_peak_is_near_the_bytes_its_guard_states(monkeypatch):
+    # block 32 at W = 1: M = 96 and s = 32
+    spec = random_spec(Model.HALF_BQP, IndexSpace(96, 1, 1), 2, np.random.default_rng(55))
+    free = Restriction.all_free(96)
+    spec.formula_matrices  # built outside the traced call
+    stated = 64 * 96 * 32**2
+    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", stated - 1)
+    with pytest.raises(ResourceLimitError, match=f"needs {stated} bytes"):
+        hbqp_level3_block_tensor(spec, free)
+    monkeypatch.undo()
+    tracemalloc.start()
+    try:
+        hbqp_level3_block_tensor(spec, free)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * stated
 
 
 def test_hbqp_block_tensor_validation():

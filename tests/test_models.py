@@ -126,6 +126,17 @@ def test_formula_matrices_are_cached_and_read_only(model):
             mat[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_half_bqp_formula_chain_is_its_own_adjoint(d):
+    # V_{2d+1-s} = V_s^dagger exactly: the level-3 block extractor skips two of
+    # its four fixed slots on this identity
+    spec = random_spec(Model.HALF_BQP, IndexSpace.qubits(2), d, np.random.default_rng(9 + d))
+    mats = spec.formula_matrices
+    assert len(mats) == 2 * d + 2
+    for s, mat in enumerate(mats):
+        assert np.array_equal(mats[2 * d + 1 - s], mat.conj().T)
+
+
 def test_reduce_clean_qubits_ratio():
     rng = np.random.default_rng(17)
     space = IndexSpace.qubits(2, 0, 2)
