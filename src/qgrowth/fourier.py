@@ -8,6 +8,7 @@ index set means the j-th variable equals -1.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -237,60 +238,59 @@ def direct_restricted_spectrum(
 ) -> FourierSpectrum:
     """Direct-summation spectrum of the restricted acceptance probability.
 
-    All Fourier coefficients, by raw summation over index tuples of the
-    closed-form expressions (independent of the transform pipeline).  Index
-    order matches :func:`spectrum_of_algorithm`: variable j is the j-th free
-    coordinate in increasing order.  Bin S collects tuples whose free phase
-    indices have symmetric difference S.
+    All Fourier coefficients, by raw summation of the closed-form expressions
+    (independent of the transform pipeline).  Index order matches
+    :func:`spectrum_of_algorithm`: variable j is the j-th free coordinate in
+    increasing order.  Bin S collects tuples whose free phase indices have
+    symmetric difference S.
 
     A tuple is a closed path I_0 ... I_{L-1} I_0 through the L matrices,
     weighted by V_0[I_0, I_1] ... V_{L-1}[I_{L-1}, I_0] (HALF_BQP also by
     F[I_0, I_{d+1}]), and the sum is divided by the model's start count |S|.
-    The tuples are enumerated by broadcasting, in blocks of at most 2^16:
-    each block fixes a prefix of leading indices and spans the rest as one
-    tensor, built left to right as ``w[..., None] * V_t``.  Its parity masks
-    are an XOR broadcast of per-slot bits, and two ``np.bincount`` calls (real
-    and imaginary parts) add the block into the bins."""
+    A tuple's bin depends only on its path of oracle coordinates, so each V_t
+    (and F) is viewed as an (N, P, N, P) tensor over (coordinate, position)
+    pairs, P = W*K, and one ``np.einsum`` around the ring sums the positions
+    out of every coordinate path.  Slices of at most 2^16 paths fix a prefix
+    of leading coordinates; the greedy contraction order, found once, keeps
+    every intermediate within 2^16 entries.  A slice's parity masks are an
+    XOR broadcast of per-slot bits, and two ``np.bincount`` calls (real and
+    imaginary parts) add it into the bins."""
     vs, free_count, skip, old_of_new = spec.restricted_chain(rho)
-    m = spec.space.total_dim
-    count = len(vs)
-    tuple_count = m**count
-    if tuple_count > DIRECT_SUM_GUARD:
+    m, n, count = spec.space.total_dim, spec.space.oracle_dim, len(vs)
+    if m**count > DIRECT_SUM_GUARD:
         raise ResourceLimitError(
-            f"direct summation needs {tuple_count} tuples, guard is {DIRECT_SUM_GUARD}"
+            f"direct summation needs {m**count} tuples, guard is {DIRECT_SUM_GUARD}"
         )
-    oracle_of = spec.space.oracle_parts()
-    bit = np.where(oracle_of < free_count, np.int64(1) << oracle_of, 0)
-    slot_bits = [np.zeros(m, dtype=np.int64) if t in skip else bit for t in range(count)]
-    # slots before `prefix` are fixed per block, the rest are the block's axes
-    prefix = 1
-    while m ** (count - prefix) > _DIRECT_BLOCK:
+    check_table_size(free_count)
+    bit = np.int64(1) << np.arange(n)
+    bit[free_count:] = 0
+    slot_bits = [np.zeros(n, dtype=np.int64) if t in skip else bit for t in range(count)]
+    # coordinates of slots before `prefix` are fixed per slice, the rest are its axes
+    prefix = 0
+    while n ** (count - prefix) > _DIRECT_BLOCK:
         prefix += 1
     masks = np.zeros((), dtype=np.int64)
     for t in range(prefix, count):
         masks = masks[..., None] ^ slot_bits[t]
     masks = masks.reshape(-1)
+    # (tensor, row slot, column slot) around the ring; HALF_BQP's accept joins slots 0 and d+1
+    grid = (n, m // n, n, m // n)
+    ring = [(vs[t].reshape(grid), t, (t + 1) % count) for t in range(count)]
     if spec.model is Model.HALF_BQP:
-        # accept[I_0, I_{d+1}] as a column on slot d+1's block axis: the guard
-        # keeps M^(d+1) <= sqrt(DIRECT_SUM_GUARD) < 2^16, so no block fixes it
-        tail = (1,) * (count - 2 - spec.d)
-        accept = spec.accept[old_of_new][:, old_of_new].reshape((m, m) + tail)
+        ring.append((spec.accept[old_of_new][:, old_of_new].reshape(grid), 0, spec.d + 1))
+    # M >= 2 and the guard keep L <= 23, so the 2L letters fit in ascii_letters
+    pos, coord = string.ascii_letters[:count], string.ascii_letters[count : 2 * count]
+    out = coord[prefix:]
+    axes = [""] * prefix + list(out)
+    subscripts = ",".join(axes[a] + pos[a] + axes[b] + pos[b] for _, a, b in ring) + "->" + out
+    plan = None  # every slice has the same shapes, so the first one's order serves all
     bins = np.zeros(1 << free_count, dtype=complex)
-    for path in np.ndindex((m,) * prefix):
-        w = 1.0
-        for t in range(prefix - 1):
-            w = w * vs[t][path[t], path[t + 1]]
-        w = w * vs[prefix - 1][path[prefix - 1]]
-        for t in range(prefix, count - 1):
-            w = w[..., None] * vs[t]
-        w = w * vs[-1][:, path[0]]
-        if spec.model is Model.HALF_BQP:
-            w = w * accept[path[0]]
-        fixed = 0
-        for t in range(prefix):
-            fixed ^= int(slot_bits[t][path[t]])
-        w = w.reshape(-1)
-        block = masks ^ fixed
+    for path in np.ndindex((n,) * prefix):
+        at = list(path) + [slice(None)] * (count - prefix)
+        operands = [mat[at[a], :, at[b]] for mat, a, b in ring]
+        plan = plan or np.einsum_path(subscripts, *operands, optimize=("greedy", _DIRECT_BLOCK))[0]
+        w = np.einsum(subscripts, *operands, optimize=plan).reshape(-1)
+        block = masks ^ np.bitwise_xor.reduce([0] + [slot_bits[t][c] for t, c in enumerate(path)])
         bins.real += np.bincount(block, w.real, minlength=bins.size)
         bins.imag += np.bincount(block, w.imag, minlength=bins.size)
     bins /= spec.start_indices().size

@@ -317,7 +317,8 @@ def test_direct_summation_matches_transform_on_random_specs(data, model, n, w, s
 
 
 def test_direct_summation_over_several_leading_indices():
-    # 4^10 tuples: every block fixes more than one leading index
+    # 4^10 tuples on a 10-slot ring of 2 coordinates with 2 positions each:
+    # one unsliced einsum sums both positions of every slot over 2^10 paths
     rng = np.random.default_rng(41)
     spec = random_spec(Model.BQP, IndexSpace.qubits(1, 1, 0), 5, rng)
     for text in (None, "-*"):
@@ -325,6 +326,39 @@ def test_direct_summation_over_several_leading_indices():
         got = direct_restricted_spectrum(spec, rho)
         want = spectrum_of_algorithm(spec, rho)
         assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+
+@pytest.mark.parametrize("layout", ["********", "******-+", "+-******"])
+@pytest.mark.parametrize(
+    "model,shape",
+    [(Model.BQP, (3, 2, 0, 2)), (Model.DQCK, (3, 1, 1, 2)), (Model.HALF_BQP, (3, 2, 0, 1))],
+)
+def test_direct_summation_at_thirty_two_positions(model, shape, layout):
+    # perfbench's size-1 crosscheck spaces (M = 32, 8 coordinates of 4
+    # positions) with every coordinate free, fixed ones last, fixed ones first
+    n, w, k, d = shape
+    spec = random_spec(model, IndexSpace.qubits(n, w, k), d, np.random.default_rng(60))
+    rho = Restriction.from_string(layout)
+    got = direct_restricted_spectrum(spec, rho)
+    want = spectrum_of_algorithm(spec, rho)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+
+@pytest.mark.parametrize("model,d", [(Model.BQP, 11), (Model.HALF_BQP, 9)])
+def test_direct_summation_on_long_rings_stays_small(model, d):
+    # M = 2, one position a coordinate: 22 and 20 slots, so 2^22 and 2^20
+    # coordinate paths summed in slices of 2^16; unsliced, the BQP ring peaked at 160 MiB
+    spec = random_spec(model, IndexSpace.qubits(1, 0, 0), d, np.random.default_rng(61))
+    spec.formula_matrices  # built outside the traced call
+    tracemalloc.start()
+    try:
+        got = direct_restricted_spectrum(spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = spectrum_of_algorithm(spec)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+    assert peak <= 8 << 20
 
 
 def test_direct_summation_trivial_cases():
@@ -364,6 +398,13 @@ def test_direct_summation_guard():
     space = IndexSpace.qubits(2, 1)   # M = 8
     spec = random_spec(Model.BQP, space, 5, rng)   # 8^10 tuples
     with pytest.raises(ResourceLimitError):
+        direct_restricted_spectrum(spec)
+
+
+def test_direct_summation_refuses_bins_above_the_table_cap():
+    # 32^4 tuples pass DIRECT_SUM_GUARD, but 32 free coordinates need 2^32 bins
+    spec = random_spec(Model.BQP, IndexSpace.qubits(5, 0, 0), 2, np.random.default_rng(42))
+    with pytest.raises(ResourceLimitError, match=r"2\^32 entries"):
         direct_restricted_spectrum(spec)
 
 
