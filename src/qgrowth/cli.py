@@ -253,6 +253,8 @@ def cmd_forrelation(args) -> int:
 
 
 def cmd_tightness(args) -> int:
+    if args.n < 1:
+        raise ValueError(f"--n must be >= 1, got {args.n}")
     circuit = forrelation.tightness_circuit(args.n, args.d)
     sp = fourier.spectrum_of_algorithm(circuit.spec, circuit.rho, workers=args.workers)
     size = circuit.block_size

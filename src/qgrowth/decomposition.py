@@ -214,29 +214,32 @@ def _build_factor(spec: DecompositionSpec, position: int, indexer: AugmentedInde
 
 @dataclass(frozen=True)
 class AugmentedMatrix:
-    """Factors and product of a decomposition, over the augmented index space."""
+    """Factors of a decomposition over the augmented index space.  The product is never
+    formed: CSR x CSR builds each row from that row alone, so pushing a start row through
+    the factors gives that row of the product bit for bit."""
 
-    spec: DecompositionSpec
     indexer: AugmentedIndexer
     factors: tuple      # square sparse factors, one per position
-    product: sp.csr_matrix
+
+    def _rows(self, i_start, s_start) -> np.ndarray:
+        out = self.factors[0][np.ravel(self.indexer.encode(i_start, s_start))]
+        for factor in self.factors[1:]:
+            out = out @ factor
+        return out.toarray()
 
     def entry(self, i_start, s_start, i_end, s_end, a_end=None, b_end=None):
         """Product entry from row (i_start, s_start) with empty registers."""
-        row = self.indexer.encode(i_start, s_start)
         col = self.indexer.encode(i_end, s_end, a_end, b_end)
-        return complex(self.product[row, col])
+        return complex(self._rows(i_start, s_start)[0, col])
 
     def empty_start_block(self) -> np.ndarray:
         """Dense product rows with S = empty and empty registers."""
-        rows = self.indexer.encode(np.arange(self.indexer.m), 0)
-        return np.asarray(self.product[rows, :].todense())
+        return self._rows(np.arange(self.indexer.m), 0)
 
     def free_start_block(self) -> np.ndarray:
         """Dense product rows over all (I, S) with empty registers."""
         ix = self.indexer
-        rows = ix.encode(np.arange(ix.m)[:, None], np.arange(1 << ix.tracked)).ravel()
-        return np.asarray(self.product[rows, :].todense())
+        return self._rows(np.arange(ix.m)[:, None], np.arange(1 << ix.tracked))
 
     def factor_operator_norms(self) -> list:
         return [_block_spectral_norm(factor) for factor in self.factors]
@@ -324,14 +327,11 @@ def decompose_improved(spec: DecompositionSpec) -> AugmentedMatrix:
 
     Register updates follow the add-then-remove order at collisions: a slot
     written at position t may be compared (and cleared) against the index at
-    position t+1 within the same factor.
+    position t+1 within the same factor.  Only the factors are built.
     """
     indexer = _make_indexer(spec)
-    factors = tuple(_build_factor(spec, t, indexer) for t in range(1, spec.depth + 1))
-    product = factors[0]
-    for factor in factors[1:]:
-        product = product @ factor
-    return AugmentedMatrix(spec, indexer, factors, product.tocsr())
+    return AugmentedMatrix(
+        indexer, tuple(_build_factor(spec, t, indexer) for t in range(1, spec.depth + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -500,6 +500,8 @@ def random_decomposition_spec(
     Register/parity parameters are resampled until the augmented dimension
     fits under ``max_aug_dim``.
     """
+    if max_aug_dim < 2:  # the smallest draw (M = 2, nothing tracked) has dimension 2
+        raise ValueError(f"max_aug_dim must be >= 2, got {max_aug_dim}")
     while True:
         d = int(rng.integers(1, 5))
         n_dim = int(rng.choice([2, 4]))

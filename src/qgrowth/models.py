@@ -348,14 +348,14 @@ def truth_table(
     fixes no coordinate, only the masks below 2^(F-1) (last coordinate +1) are
     simulated: mask 2^F-1-m is -x of mask m, and f(-x) = f(x) because x -> -x
     multiplies every final state by (-1)^d.  The swept inputs are built once,
-    as int8 rows (2^F' x N bytes for F' swept bits), and sharded into chunks
-    of ``chunk`` rows (default ``max(256, 4096 // S)``), each converted to
-    float; with ``workers > 1`` they run on at most one thread each and are
-    reassembled in index order, so results do not depend on the worker count.
-    Each of the w pool threads gets one task that runs every w-th chunk.
-    The bits do not depend on ``chunk`` either as long as it is a multiple of
-    4: BLAS rounds the rows of a ragged block differently, so other chunks
-    may move entries in the last place.
+    as int8 rows (2^F' x N bytes for F' swept bits), and sharded into chunks of
+    ``chunk`` rows (default 1024 // S for S start states, rounded down to a
+    power of two, at least 256), each converted to float.  With ``workers > 1``
+    they run on at most one thread each and are reassembled in index order, so
+    results do not depend on the worker count.  Each of the w pool threads gets
+    one task that runs every w-th chunk.  The bits do not depend on ``chunk``
+    either as long as it is a multiple of 4: BLAS rounds the rows of a ragged
+    block differently, so other chunks may move entries in the last place.
     """
     n = spec.num_inputs
     rho = spec.restriction(rho)
@@ -363,7 +363,7 @@ def truth_table(
     check_table_size(free)
     size = 1 << free
     swept = size // 2 if 0 < free == n else size
-    chunk = max(256, 4096 // spec.start_indices().size) if chunk is None else chunk
+    chunk = {1: 1024, 2: 512}.get(spec.start_indices().size, 256) if chunk is None else chunk
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, swept)) for lo in range(0, swept, chunk)]
     rows = np.tile(np.where(rho.pattern == 0, 1, rho.pattern).astype(np.int8), (swept, 1))

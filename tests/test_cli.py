@@ -351,6 +351,7 @@ def no_draws(monkeypatch):
     (["reduce", "--n", "2", "--w", "8", "--k", "2", "--t", "1"],
      "resource error: register of dimension M = 16384 needs 4 GiB"),
     (["tightness", "--n", "20000"], "resource error: truth table over 3 * 2^20000 coordinates"),
+    (["tightness", "--n", "0"], "error: --n must be >= 1, got 0"),
     (["forrelation", "--n", "3", "--k", "679", "--trials", "1"],
      "error: --k 679 at --n 3 rounds the default --eps (log2 N)^-k to 0.0; pass --eps"),
     (["forrelation", "--n", "2", "--k", "1075", "--trials", "1"], "--k 1075 at --n 2"),
@@ -370,7 +371,8 @@ def no_draws(monkeypatch):
         "growth-bqp-k-minus-1", "growth-half-bqp-k-minus-2", "forrelation-k-0",
         "forrelation-k-minus-3", "forrelation-eps-0", "forrelation-eps-minus-1",
         "forrelation-eps-nan", "forrelation-eps-inf", "spectrum-no-spec", "growth-register-cap",
-        "reduce-reduced-register-cap", "tightness-n-20000", "forrelation-default-eps-0",
+        "reduce-reduced-register-cap", "tightness-n-20000",
+        "tightness-n-0", "forrelation-default-eps-0",
         "forrelation-default-eps-0-n-2", "forrelation-instance-cap",
         "forrelation-instance-cap-with-eps"])
 def test_refused_before_any_gate_is_drawn(argv, words, no_draws, tmp_path, capsys):

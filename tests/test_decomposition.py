@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,12 @@ def test_equality_pair_matches_brute_force():
                 want = brute_force_entry(spec, i1, ie, se)
                 worst = max(worst, abs(got - want))
     assert worst <= 1e-9
+
+
+def test_random_spec_refuses_a_dimension_no_draw_fits():
+    # the smallest draw has augmented dimension 2, so the redraw loop would never end
+    with pytest.raises(ValueError, match="max_aug_dim must be >= 2, got 1"):
+        random_decomposition_spec(np.random.default_rng(0), max_aug_dim=1)
 
 
 def test_memory_and_equality_random_sweep():
@@ -383,6 +391,22 @@ def test_spectrum_via_decomposition_matches_transform():
                 got = spectrum_via_decomposition(spec, rho)
                 want = spectrum_of_algorithm(spec, rho)
                 assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+
+
+def test_spectrum_via_decomposition_reads_rows_without_the_full_product():
+    # 8 free coordinates at M = 16: augmented dimension 4096, whose full product takes ~170 MiB
+    spec = random_spec(Model.BQP, IndexSpace.qubits(4), 2, np.random.default_rng(99))
+    rho = Restriction.from_string("*-*+" * 4)
+    spec.formula_matrices  # built outside the traced call
+    tracemalloc.start()
+    try:
+        got = spectrum_via_decomposition(spec, rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    want = spectrum_of_algorithm(spec, rho)
+    assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
+    assert peak <= 32 << 20
 
 
 def test_spectrum_via_decomposition_on_tightness_circuit():

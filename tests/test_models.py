@@ -348,13 +348,17 @@ def test_default_chunks_are_powers_of_two_and_multiples_of_4(model, monkeypatch)
     real_chunk = models_module._table_chunk
     monkeypatch.setattr(models_module, "_table_chunk",
                         lambda spec, x: rows.append(x.shape[0]) or real_chunk(spec, x))
-    for n in (1, 2, 3, 4):
+    spaces = [_space(model, n) for n in (1, 2, 3, 4)]
+    # S = 12 start states for HALF_BQP and DQCK at N = 12: 1024 // S is no power of two
+    spaces.append(IndexSpace(12, 1, 2 if model is Model.DQCK else 1))
+    for n, space in enumerate(spaces, 1):
         rows.clear()
-        spec = random_spec(model, _space(model, n), 1, np.random.default_rng(n))
+        spec = random_spec(model, space, 1, np.random.default_rng(n))
         truth_table(spec, workers=1)
         assert sum(rows) == 1 << (spec.num_inputs - 1)
         assert all(r & (r - 1) == 0 and r % 4 == 0 for r in rows[:-1])
         assert n < 4 or len(rows) > 1
+        assert n != 4 or rows[0] == (1024 if model is Model.BQP else 256)  # N = 16
 
 
 @pytest.mark.parametrize("restricted", [False, True])
