@@ -13,14 +13,17 @@ applied to a slab of states grown from the model's start basis states (BQP:
 {0}; DQCK: the clean-zero starts; HALF_BQP: every basis state), then an
 accept predicate is summed.  A plan cached on the spec folds the first query
 into per-coordinate images of gate 1 (one real GEMM of the +/-1 inputs) and
-keeps only the accepted rows of the last gate for BQP/DQCK.  Truth tables run
-it on chunks of ``max(256, 4096 // S)`` inputs, S the number of starts, and
-``acceptance_direct`` is a batch of one.  ``acceptance_formula`` evaluates
-the closed-form matrix-product expression for the same quantity and shares
-no code with the kernel; the two must agree to 1e-9, which the test suite
-certifies.  The closed forms differ only by whether the start is revealed:
-BQP and DQCK share one trace form over their start set (BQP's is {0}), and
-HALF_BQP, whose start is revealed, has a bilinear form.
+keeps only the accepted rows of the last gate for BQP/DQCK; a plan above
+``KERNEL_PLAN_GUARD`` bytes is refused before it is formed.  Truth tables run
+it on chunks of B inputs, B the largest power of two in [4, 1024] with
+B * S * M <= 2^16 for S starts and M amplitudes (a complex slab of at most
+1 MiB per worker unless 4 rows exceed it), and ``acceptance_direct`` is a
+batch of one.  ``acceptance_formula`` evaluates the closed-form
+matrix-product expression for the same quantity and shares no code with the
+kernel; the two must agree to 1e-9, which the test suite certifies.  The
+closed forms differ only by whether the start is revealed: BQP and DQCK
+share one trace form over their start set (BQP's is {0}), and HALF_BQP,
+whose start is revealed, has a bilinear form.
 
 The oracle is a pure phase, so O_{-x} = -O_x and every final state only picks
 up a global (-1)^d: every model's acceptance is even, f(-x) = f(x).  A truth
@@ -35,6 +38,7 @@ input with a restriction (see :func:`qgrowth.forrelation.tightness_circuit`).
 from __future__ import annotations
 
 import json
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
@@ -43,6 +47,7 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from .errors import ResourceLimitError
 from .linalg import (
     IMAG_TOL,
     IndexSpace,
@@ -53,6 +58,10 @@ from .linalg import (
     phase_vector,
     random_unitary,
 )
+
+
+#: Largest kernel plan, in bytes: the (N, S, R) complex fold of gate 1.
+KERNEL_PLAN_GUARD = 1 << 30
 
 
 class Model(Enum):
@@ -189,9 +198,15 @@ class AlgorithmSpec:
         ``last`` is the transposed last gate, its rows cut to ``accept`` for
         BQP/DQCK (R = |accept|), which C uses when d = 1.  S is the start count;
         ``accept`` is HALF_BQP's (start, outcome) mask as one float row, None
-        for BQP/DQCK, which sum every kept outcome."""
+        for BQP/DQCK, which sum every kept outcome.  A fold above
+        ``KERNEL_PLAN_GUARD`` bytes is refused before it is formed."""
         n, m = self.num_inputs, self.space.total_dim
         starts = self.start_indices()
+        kept = m if self.model is Model.HALF_BQP or self.d > 1 else int(self.accept.sum())
+        need = 16 * n * starts.size * kept
+        if need > KERNEL_PLAN_GUARD:
+            raise ResourceLimitError(
+                f"kernel plan needs {need} bytes, guard is {KERNEL_PLAN_GUARD}")
         last = self.unitaries[-1][... if self.model is Model.HALF_BQP else self.accept]
         second = last if self.d == 1 else self.unitaries[1]
         first = self.unitaries[0][:, starts].reshape(n, m // n, -1)
@@ -349,13 +364,17 @@ def truth_table(
     simulated: mask 2^F-1-m is -x of mask m, and f(-x) = f(x) because x -> -x
     multiplies every final state by (-1)^d.  The swept inputs are built once,
     as int8 rows (2^F' x N bytes for F' swept bits), and sharded into chunks of
-    ``chunk`` rows (default 1024 // S for S start states, rounded down to a
-    power of two, at least 256), each converted to float.  With ``workers > 1``
-    they run on at most one thread each and are reassembled in index order, so
-    results do not depend on the worker count.  Each of the w pool threads gets
-    one task that runs every w-th chunk.  The bits do not depend on ``chunk``
-    either as long as it is a multiple of 4: BLAS rounds the rows of a ragged
-    block differently, so other chunks may move entries in the last place.
+    ``chunk`` rows, each converted to float.  The default is the largest power
+    of two in [4, 1024] with chunk * S * M <= 2^16, for S start states and
+    register dimension M, so a worker's (chunk, S, M) complex slab stays
+    within 1 MiB while S * M <= 2^14.  The kernel plan, with its guard, is
+    read before the inputs are built.  With ``workers > 1`` the chunks run on
+    w = min(workers, chunk count, CPU count) threads and are reassembled in
+    index order, so results do not depend on the worker count.  Each of the
+    w pool threads gets one task that runs every w-th chunk.  The bits do not
+    depend on ``chunk`` either as long as it is a multiple of 4: BLAS rounds
+    the rows of a ragged block differently, so other chunks may move entries
+    in the last place.
     """
     n = spec.num_inputs
     rho = spec.restriction(rho)
@@ -363,7 +382,9 @@ def truth_table(
     check_table_size(free)
     size = 1 << free
     swept = size // 2 if 0 < free == n else size
-    chunk = {1: 1024, 2: 512}.get(spec.start_indices().size, 256) if chunk is None else chunk
+    per_row = spec._kernel_plan[2] * spec.space.total_dim  # S * M slab entries per input
+    if chunk is None:
+        chunk = 1 << min(10, max(2, ((1 << 16) // per_row).bit_length() - 1))
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, swept)) for lo in range(0, swept, chunk)]
     rows = np.tile(np.where(rho.pattern == 0, 1, rho.pattern).astype(np.int8), (swept, 1))
@@ -374,7 +395,7 @@ def truth_table(
         for lo, hi in shard:
             out[lo:hi] = _table_chunk(spec, rows[lo:hi].astype(float))
 
-    pool_size = min(workers, len(chunks))
+    pool_size = min(workers, len(chunks), os.cpu_count() or 1)
     if pool_size > 1:
         with ThreadPoolExecutor(max_workers=pool_size) as pool:
             list(pool.map(run, [chunks[i::pool_size] for i in range(pool_size)]))

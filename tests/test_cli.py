@@ -215,6 +215,20 @@ def test_spec_register_over_cap_is_refused_before_any_gate(no_draws, tmp_path, c
     assert no_draws == []
 
 
+def test_spec_kernel_plan_over_guard_is_refused(no_draws, tmp_path, capsys):
+    # HALF_BQP at n = 9, d = 1: the (N, S, R) complex fold would take 16 * 512^3 = 2 GiB
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_doc(
+        model="HALF_BQP", n=9, accept=[[0] * 512] * 512, restriction="+" * 510 + "**",
+        unitaries=[{"kind": "identity"}] * 2)))
+    out = tmp_path / "sp.csv"
+    assert main(["spectrum", "--spec", str(path), "--workers", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "resource error: kernel plan needs 2147483648 bytes, guard is 1073741824\n")
+    assert no_draws == []
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("workers", ["0", "-3"])
 def test_workers_below_one_is_a_usage_error(workers, tmp_path, capsys):
     out = tmp_path / "g.csv"

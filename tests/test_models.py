@@ -1,4 +1,6 @@
 import json
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qgrowth.errors import ResourceLimitError
+from qgrowth.forrelation import tightness_circuit
 from qgrowth.fourier import spectrum_of_algorithm
 from qgrowth.linalg import IndexSpace, f2_inner, hadamard_matrix, random_unitary
 from qgrowth.models import (
@@ -332,10 +335,67 @@ def test_truth_table_starts_at_most_one_thread_per_chunk(monkeypatch):
         return real_pool(max_workers=max_workers)
 
     monkeypatch.setattr(models_module, "ThreadPoolExecutor", recording_pool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the chunk count is the binding cap
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 1, np.random.default_rng(3))
     one = truth_table(spec, workers=1, chunk=3)
     assert np.array_equal(truth_table(spec, workers=64, chunk=3), one)
     assert sizes == [3]      # 8 of the 16 inputs simulated, in chunks of 3
+
+
+def test_truth_table_starts_at_most_one_thread_per_cpu(monkeypatch):
+    # the tightness table runs 128 chunks of 32 rows; the pool maps serially,
+    # so a wrong cap records its size without starting a thread
+    import qgrowth.models as models_module
+
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(models_module, "ThreadPoolExecutor", SerialPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    circuit = tightness_circuit(2, 3)
+    many = truth_table(circuit.spec, circuit.rho, workers=10**6)
+    assert sizes == [2]
+    assert np.array_equal(many, truth_table(circuit.spec, circuit.rho))
+
+
+def test_tightness_table_at_2_workers_stays_within_4_mib():
+    # 32-row chunks keep each (32, 24, 48) slab at 576 KiB; 256-row ones peaked at 19 MiB
+    circuit = tightness_circuit(2, 3)
+    tracemalloc.start()
+    try:
+        truth_table(circuit.spec, circuit.rho, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 << 20
+
+
+def test_kernel_plan_over_its_guard_is_refused_before_it_is_formed():
+    # HALF_BQP at N = M = S = R = 512, d = 1: the (N, S, R) complex fold takes 2 GiB
+    space = IndexSpace(512, 1, 1)
+    spec = _identity_spec(Model.HALF_BQP, space, accept=np.zeros((512, 512), dtype=bool))
+    rho = Restriction(np.array([1] * 510 + [0, 0]))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceLimitError,
+                           match=r"^kernel plan needs 2147483648 bytes, guard is 1073741824$"):
+            truth_table(spec, rho, workers=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 64 << 10  # 15 KiB measured: neither the fold nor the inputs exist
 
 
 @pytest.mark.parametrize("model", list(Model))
@@ -358,7 +418,13 @@ def test_default_chunks_are_powers_of_two_and_multiples_of_4(model, monkeypatch)
         assert sum(rows) == 1 << (spec.num_inputs - 1)
         assert all(r & (r - 1) == 0 and r % 4 == 0 for r in rows[:-1])
         assert n < 4 or len(rows) > 1
-        assert n != 4 or rows[0] == (1024 if model is Model.BQP else 256)  # N = 16
+        # N = 16: the largest power of two with rows * S * M <= 2^16, S * M = 16, 512, 256
+        assert n != 4 or rows[0] == {Model.BQP: 1024, Model.DQCK: 128, Model.HALF_BQP: 256}[model]
+    if model is Model.DQCK:  # the tightness table: S = 24, M = 48, so 32 rows
+        rows.clear()
+        circuit = tightness_circuit(2, 3)
+        truth_table(circuit.spec, circuit.rho, workers=1)
+        assert set(rows) == {32}
 
 
 @pytest.mark.parametrize("restricted", [False, True])
