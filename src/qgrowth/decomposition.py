@@ -48,7 +48,7 @@ if TYPE_CHECKING:
 #: Largest augmented dimension materialized as factors.
 AUGMENTED_DIM_GUARD = 65536
 
-#: Guard for the raw brute-force summation (M^(d-1) paths per entry).
+#: Guard for the raw brute-force summations: M^(d+1) paths for the tensor, M^(d-1) for one entry.
 BRUTE_FORCE_GUARD = 10**7
 
 #: Read only by the benchmark's factorizations workload; no code path here uses it.
@@ -252,9 +252,11 @@ def _block_spectral_norm(factor: sp.csr_matrix) -> float:
     permutation of F, so F is block diagonal and its norm is the largest
     block norm.  A block is labelled by its least node: each pass takes the
     neighbours' least label and then that label's own, until nothing moves.
-    Each block is placed in a k x k matrix over its k row and column nodes
-    (zero padding leaves the singular values alone); the distinct blocks of
-    one size go through one batched SVD (equal bytes, equal norms).
+    A stable sort by label groups the entries of each block in (row rank,
+    column rank) order, so two blocks of k nodes are equal exactly when their
+    (rank, rank, value) entry lists are; one block per distinct list is placed
+    in a k x k matrix over its k row and column nodes (zero padding leaves the
+    singular values alone), and those of one size go through one batched SVD.
     """
     if factor.nnz == 0:
         return 0.0
@@ -271,20 +273,27 @@ def _block_spectral_norm(factor: sp.csr_matrix) -> float:
             break
         label = spread[spread]
     order = np.argsort(label, kind="stable")
-    rank = np.empty(size, dtype=np.int64)
-    rank[order] = np.arange(size) - np.searchsorted(label[order], label[order])
+    width = np.bincount(label)  # nodes a block, at its label
+    rank = np.empty(size, dtype=np.int64)  # a node's place in its block, by node number
+    rank[order] = np.arange(size) - (np.cumsum(width) - width)[label[order]]
     block = label[rows]
-    width = np.bincount(label)[block]
+    order = np.argsort(block, kind="stable")
+    block, values = block[order], factor.data[order]
+    entries = np.column_stack(  # 32 bytes an entry: row rank, column rank, value
+        [rank[rows[order]], rank[cols[order]], values.view(np.int64).reshape(-1, 2)])
+    lows = [0, *(np.flatnonzero(block[1:] != block[:-1]) + 1).tolist()]
+    buf, first = entries.tobytes(), {}
+    for k, lo, hi in zip(width[block[lows]].tolist(), lows, lows[1:] + [block.size]):
+        first.setdefault((k, buf[32 * lo:32 * hi]), (lo, hi))
+    reps = {}
+    for (k, _), span in first.items():
+        reps.setdefault(k, []).append(span)
     best = 0.0
-    for k in np.unique(width):
-        hit = width == k
-        slot = np.unique(block[hit], return_inverse=True)[1]
-        stack = np.zeros((slot.max() + 1, k, k), dtype=factor.dtype)
-        stack[slot, rank[rows[hit]], rank[cols[hit]]] = factor.data[hit]
-        first = {}
-        for j, one in enumerate(stack):
-            first.setdefault(one.tobytes(), j)
-        best = max(best, float(np.linalg.norm(stack[list(first.values())], 2, axis=(1, 2)).max()))
+    for k, spans in reps.items():
+        stack = np.zeros((len(spans), k, k), dtype=factor.dtype)
+        for j, (lo, hi) in enumerate(spans):
+            stack[j, entries[lo:hi, 0], entries[lo:hi, 1]] = values[lo:hi]
+        best = max(best, float(np.linalg.norm(stack, 2, axis=(1, 2)).max()))
     return best
 
 
@@ -390,7 +399,11 @@ def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
     Entry [i1, ie, s, b] equals ``brute_force_entry(spec, i1, ie, s_end=s,
     b_end=decode(b)+1)``: s is the parity a path collects from an empty start,
     so a start parity s1 ends at s1 xor s.  Memory digits use base N with
-    stored value v-1.
+    stored value v-1.  Path weights fill the (M,)*(d+1) grid by broadcasting,
+    w[p_0..p_t, p_{t+1}] = w[p_0..p_t] * U_t[p_t, p_{t+1}], so each product is
+    taken in path order; parities, equality keeps and memory digits broadcast
+    from one length-M vector per axis.  Nonzero kept paths are binned in path
+    order by ``np.bincount``, as ``np.add.at`` did, at about 33 bytes a path.
     """
     d = spec.depth
     m = spec.space.total_dim
@@ -399,34 +412,29 @@ def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
         raise ResourceLimitError(
             f"brute force needs {m ** (d + 1)} paths, guard is {BRUTE_FORCE_GUARD}")
     oracle_of = spec.space.oracle_parts()
-    shape = (m, m, 1 << spec.tracked, n**spec.q)
-    bins = np.zeros(shape, dtype=complex)
-    paths = np.array(np.unravel_index(np.arange(m ** (d + 1)), (m,) * (d + 1)))
-    weights = np.ones(paths.shape[1], dtype=complex)
-    for t in range(d):
-        weights *= spec.matrices[t][paths[t], paths[t + 1]]
-    live = weights != 0
-    paths = paths[:, live]
-    weights = weights[live]
-    masks = np.zeros(paths.shape[1], dtype=np.int64)
-    for t in range(2, d + 1):
-        if t in spec.parity_skip:
-            continue
-        idx = oracle_of[paths[t - 1]]
-        hot = idx < spec.tracked
-        masks[hot] ^= np.int64(1) << idx[hot]
-    keep = np.ones(paths.shape[1], dtype=bool)
+
+    def on_axis(vec, axis):  # a length-M vector laid along one axis of the path grid
+        return vec.reshape((-1,) + (1,) * (d - axis))
+
+    weights = spec.matrices[0]
+    for t in range(1, d):
+        weights = weights[..., None] * spec.matrices[t]
+    keep = weights != 0
     for s, t in spec.equality_pairs:
-        keep &= oracle_of[paths[s - 1]] == oracle_of[paths[t - 1]]
-    b_flat = np.zeros(paths.shape[1], dtype=np.int64)
+        keep &= on_axis(oracle_of, s - 1) == on_axis(oracle_of, t - 1)
+    code = np.zeros((1,) * (d + 1), dtype=np.int64)  # parity, then memory digits (Horner)
+    for t in range(2, d + 1):
+        if t not in spec.parity_skip:
+            code = code ^ on_axis(np.where(oracle_of < spec.tracked, 1 << oracle_of, 0), t - 1)
     for r in spec.memory_positions:
-        b_flat = b_flat * n + oracle_of[paths[r - 1]]
-    np.add.at(
-        bins,
-        (paths[0][keep], paths[d][keep], masks[keep], b_flat[keep]),
-        weights[keep],
-    )
-    return bins
+        code = code * n + on_axis(oracle_of, r - 1)
+    span = (1 << spec.tracked) * n**spec.q
+    code = code + (on_axis(np.arange(m) * m, 0) + on_axis(np.arange(m), d)) * span
+    code = np.broadcast_to(code, keep.shape)[keep]
+    bins = np.empty(m * m * span, dtype=complex)
+    bins.real = np.bincount(code, weights.real[keep], minlength=bins.size)
+    bins.imag = np.bincount(code, weights.imag[keep], minlength=bins.size)
+    return bins.reshape(m, m, 1 << spec.tracked, n**spec.q)
 
 
 # ---------------------------------------------------------------------------

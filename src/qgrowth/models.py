@@ -209,11 +209,14 @@ class AlgorithmSpec:
                 f"kernel plan needs {need} bytes, guard is {KERNEL_PLAN_GUARD}")
         last = self.unitaries[-1][... if self.model is Model.HALF_BQP else self.accept]
         second = last if self.d == 1 else self.unitaries[1]
+        second = second.reshape(-1, n, m // n).transpose(1, 0, 2)
         first = self.unitaries[0][:, starts].reshape(n, m // n, -1)
-        fold = (second.reshape(-1, n, m // n).transpose(1, 0, 2) @ first).transpose(0, 2, 1)
+        fold = np.empty((n, starts.size, kept), dtype=complex)
+        step = max(1, (1 << 20) // max(1, need // n))  # slices of ~1 MiB, not a second whole fold
+        for lo in range(0, n, step):
+            fold[lo:lo + step] = (second[lo:lo + step] @ first[lo:lo + step]).transpose(0, 2, 1)
         accept = self.accept.reshape(-1).astype(float) if self.model is Model.HALF_BQP else None
-        return (np.ascontiguousarray(fold).view(float).reshape(n, -1), np.ascontiguousarray(last.T),
-                starts.size, accept)
+        return fold.view(float).reshape(n, -1), np.ascontiguousarray(last.T), starts.size, accept
 
     @cached_property
     def formula_matrices(self) -> tuple:

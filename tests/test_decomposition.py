@@ -248,6 +248,96 @@ def test_brute_force_tensor_consistent_with_entry():
                     assert bins[i1, ie, s, b] == pytest.approx(want, abs=1e-12)
 
 
+def _flat_path_brute_force_tensor(spec):
+    # the earlier brute_force_tensor: every path's indices gathered into one flat array
+    d, m, n = spec.depth, spec.space.total_dim, spec.space.oracle_dim
+    oracle_of = spec.space.oracle_parts()
+    bins = np.zeros((m, m, 1 << spec.tracked, n**spec.q), dtype=complex)
+    paths = np.array(np.unravel_index(np.arange(m ** (d + 1)), (m,) * (d + 1)))
+    weights = np.ones(paths.shape[1], dtype=complex)
+    for t in range(d):
+        weights *= spec.matrices[t][paths[t], paths[t + 1]]
+    live = weights != 0
+    paths, weights = paths[:, live], weights[live]
+    masks = np.zeros(paths.shape[1], dtype=np.int64)
+    for t in range(2, d + 1):
+        if t in spec.parity_skip:
+            continue
+        idx = oracle_of[paths[t - 1]]
+        hot = idx < spec.tracked
+        masks[hot] ^= np.int64(1) << idx[hot]
+    keep = np.ones(paths.shape[1], dtype=bool)
+    for s, t in spec.equality_pairs:
+        keep &= oracle_of[paths[s - 1]] == oracle_of[paths[t - 1]]
+    b_flat = np.zeros(paths.shape[1], dtype=np.int64)
+    for r in spec.memory_positions:
+        b_flat = b_flat * n + oracle_of[paths[r - 1]]
+    np.add.at(bins, (paths[0][keep], paths[d][keep], masks[keep], b_flat[keep]), weights[keep])
+    return bins
+
+
+def _dense_stack_block_norm(factor):
+    # the earlier _block_spectral_norm: every block densified, then deduplicated by its bytes
+    if factor.nnz == 0:
+        return 0.0
+    n_rows, n_cols = factor.shape
+    size = n_rows + n_cols
+    rows = np.repeat(np.arange(n_rows), np.diff(factor.indptr))
+    cols = factor.indices + n_rows
+    node, neighbour = np.concatenate([rows, cols]), np.concatenate([cols, rows])
+    label = np.arange(size)
+    while True:
+        spread = label.copy()
+        np.minimum.at(spread, node, label[neighbour])
+        if np.array_equal(spread, label):
+            break
+        label = spread[spread]
+    order = np.argsort(label, kind="stable")
+    rank = np.empty(size, dtype=np.int64)
+    rank[order] = np.arange(size) - np.searchsorted(label[order], label[order])
+    block = label[rows]
+    width = np.bincount(label)[block]
+    best = 0.0
+    for k in np.unique(width):
+        hit = width == k
+        slot = np.unique(block[hit], return_inverse=True)[1]
+        stack = np.zeros((slot.max() + 1, k, k), dtype=factor.dtype)
+        stack[slot, rank[rows[hit]], rank[cols[hit]]] = factor.data[hit]
+        first = {}
+        for j, one in enumerate(stack):
+            first.setdefault(one.tobytes(), j)
+        best = max(best, float(np.linalg.norm(stack[list(first.values())], 2, axis=(1, 2)).max()))
+    return best
+
+
+def test_oracles_keep_the_bits_of_their_flat_references():
+    rng = np.random.default_rng(37)
+    specs = [random_decomposition_spec(rng) for _ in range(48)]
+    specs.append(random_decomposition_spec(np.random.default_rng(13)))
+    assert decompose_improved(specs[-1]).indexer.dim == 3200
+    assert any(s.parity_skip for s in specs) and any(s.p for s in specs) and any(s.q for s in specs)
+    for spec in specs:
+        got, want = brute_force_tensor(spec), _flat_path_brute_force_tensor(spec)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        built = decompose_improved(spec)
+        assert built.factor_operator_norms() == [_dense_stack_block_norm(f) for f in built.factors]
+
+
+@pytest.mark.parametrize("m, d", [(2, 16), (4, 8), (8, 5)])
+def test_brute_force_tensor_takes_at_most_64_bytes_a_path(m, d):
+    # the flat-path gather took 297, 169 and 121 bytes a path at these shapes
+    for extra in ({}, {"parity_skip": frozenset({3}), "equality_pairs": ((2, 4),),
+                       "memory_positions": (5,)}):
+        spec = DecompositionSpec(IndexSpace(m, 1, 1), _unitaries(m, d, 80), **extra)
+        tracemalloc.start()
+        try:
+            brute_force_tensor(spec)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 64 * m ** (d + 1)
+
+
 def test_brute_force_guards_state_the_path_count():
     spec = DecompositionSpec(IndexSpace(16, 1, 1), (np.eye(16),) * 7, tracked=1)
     with pytest.raises(ResourceLimitError,

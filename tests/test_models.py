@@ -382,6 +382,43 @@ def test_tightness_table_at_2_workers_stays_within_4_mib():
     assert peak <= 4 << 20
 
 
+def _fold_in_one_product(spec):
+    # the earlier fold: one stacked matmul, then a transposed contiguous copy of it
+    n, m = spec.num_inputs, spec.space.total_dim
+    starts = spec.start_indices()
+    last = spec.unitaries[-1][... if spec.model is Model.HALF_BQP else spec.accept]
+    second = last if spec.d == 1 else spec.unitaries[1]
+    first = spec.unitaries[0][:, starts].reshape(n, m // n, -1)
+    fold = (second.reshape(-1, n, m // n).transpose(1, 0, 2) @ first).transpose(0, 2, 1)
+    return np.ascontiguousarray(fold).view(float).reshape(n, -1)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_kernel_fold_in_slices_keeps_the_bits_of_one_product(d):
+    # the 64-coordinate DQCK and HALF_BQP folds take 8 and 4 slices of 1 MiB
+    cases = [(Model.BQP, IndexSpace.qubits(2)), (Model.BQP, IndexSpace(64, 1, 1)),
+             (Model.DQCK, IndexSpace(4, 1, 2)), (Model.DQCK, IndexSpace(64, 1, 2)),
+             (Model.HALF_BQP, IndexSpace(4, 2, 1)), (Model.HALF_BQP, IndexSpace(64, 1, 1))]
+    for model, space in cases:
+        spec = random_spec(model, space, d, np.random.default_rng(d))
+        assert spec._kernel_plan[0].tobytes() == _fold_in_one_product(spec).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_kernel_fold_is_held_once_while_it_is_built(d):
+    # HALF_BQP at N = M = S = R = 128: a 32 MiB fold, which one product and its copy held twice
+    space = IndexSpace(128, 1, 1)
+    spec = _identity_spec(Model.HALF_BQP, space, d, accept=np.zeros((128, 128), dtype=bool))
+    tracemalloc.start()
+    try:
+        fold = spec._kernel_plan[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert fold.nbytes == 32 << 20
+    assert peak <= 1.25 * fold.nbytes
+
+
 def test_kernel_plan_over_its_guard_is_refused_before_it_is_formed():
     # HALF_BQP at N = M = S = R = 512, d = 1: the (N, S, R) complex fold takes 2 GiB
     space = IndexSpace(512, 1, 1)
