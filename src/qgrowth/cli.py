@@ -118,10 +118,10 @@ def _parse_levels(text: str, allowed: range):
     """``--levels`` as distinct integers in ``allowed``, [L, N]: L is the lowest level
     the command's ceiling covers, and a level above N has no subsets."""
     try:
-        levels = [int(part) for part in text.split(",") if part]
+        levels = [int(part) for part in text.split(",")]
     except ValueError:
         raise ValueError(f"--levels takes comma-separated integers, got {text!r}") from None
-    if not levels or len(set(levels)) < len(levels):
+    if len(set(levels)) < len(levels):
         raise ValueError(f"--levels needs distinct levels, at least one, got {text!r}")
     if not all(level in allowed for level in levels):
         raise ValueError(f"--levels needs levels >= {allowed.start} and "

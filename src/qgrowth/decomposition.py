@@ -29,11 +29,11 @@ from typing import TYPE_CHECKING, Optional
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .linalg import (
     IMAG_TOL,
     MATCH_TOL,
     IndexSpace,
+    check_cost,
     frobenius_norm,
     leq_tol,
     operator_norm,
@@ -121,6 +121,12 @@ class DecompositionSpec:
     def q(self) -> int:
         return len(self.memory_positions)
 
+    @property
+    def parity_toggles(self) -> np.ndarray:
+        """Mask each composite index toggles in S: its oracle value's bit if tracked, else 0."""
+        oracle_of = self.space.oracle_parts()
+        return np.where(oracle_of < self.tracked, np.int64(1) << oracle_of, 0)
+
 
 def parity_update(s_mask: int, oracle_index: int, position: int, spec: DecompositionSpec) -> int:
     """Parity-set transition at one position of the chain.
@@ -187,7 +193,7 @@ def _build_factor(spec: DecompositionSpec, position: int, indexer: AugmentedInde
     i_row, s_row, a_row, b_row = indexer.decode(np.arange(indexer.dim))
     o_row = oracle_of[i_row]
     if position >= 2 and position not in spec.parity_skip:
-        s_row = s_row ^ np.where(o_row < spec.tracked, np.int64(1) << o_row, 0)
+        s_row = s_row ^ spec.parity_toggles[i_row]
 
     digits = [digit[:, None] for digit in a_row + b_row]
     opens = [s for s, _ in spec.equality_pairs] + list(spec.memory_positions)
@@ -222,14 +228,20 @@ class AugmentedMatrix:
     factors: tuple      # square sparse factors, one per position
 
     def _rows(self, i_start, s_start) -> np.ndarray:
-        out = self.factors[0][np.ravel(self.indexer.encode(i_start, s_start))]
+        rows = np.ravel(self.indexer.encode(i_start, s_start))
+        dim, depth = self.indexer.dim, len(self.factors)
+        # after t factors a row holds at most M^t entries; the last two sparse row sets
+        # (16-byte value, 4-byte column an entry) and the dense block coexist
+        widths = [min(dim, self.indexer.m ** t) for t in (depth - 1, depth)]
+        check_cost("row push", rows.size * (16 * dim + 20 * sum(widths)))
+        out = self.factors[0][rows]
         for factor in self.factors[1:]:
             out = out @ factor
         return out.toarray()
 
-    def entry(self, i_start, s_start, i_end, s_end, a_end=None, b_end=None):
+    def entry(self, i_start, s_start, i_end, s_end, b_end=None):
         """Product entry from row (i_start, s_start) with empty registers."""
-        col = self.indexer.encode(i_end, s_end, a_end, b_end)
+        col = self.indexer.encode(i_end, s_end, b_digits=b_end)
         return complex(self._rows(i_start, s_start)[0, col])
 
     def empty_start_block(self) -> np.ndarray:
@@ -305,10 +317,7 @@ def _make_indexer(spec: DecompositionSpec) -> AugmentedIndexer:
         q=spec.q,
         base=spec.space.oracle_dim + 1,
     )
-    if indexer.dim > AUGMENTED_DIM_GUARD:
-        raise ResourceLimitError(
-            f"augmented dimension {indexer.dim} exceeds guard {AUGMENTED_DIM_GUARD}"
-        )
+    check_cost("augmented index", indexer.dim, "states", AUGMENTED_DIM_GUARD)
     return indexer
 
 
@@ -336,9 +345,13 @@ def decompose_improved(spec: DecompositionSpec) -> AugmentedMatrix:
 
     Register updates follow the add-then-remove order at collisions: a slot
     written at position t may be compared (and cleared) against the index at
-    position t+1 within the same factor.  Only the factors are built.
+    position t+1 within the same factor.  Only the factors are built, once
+    their predicted bytes pass ``linalg.MEMORY_BUDGET``.
     """
     indexer = _make_indexer(spec)
+    # a built factor keeps 20 bytes a (row, M) slot (value, int32 column); building one
+    # takes ~35 more, so the peak is about d + 2 factors' worth
+    check_cost("factor build", 20 * (spec.depth + 2) * indexer.dim * indexer.m)
     return AugmentedMatrix(
         indexer, tuple(_build_factor(spec, t, indexer) for t in range(1, spec.depth + 1)))
 
@@ -361,9 +374,7 @@ def brute_force_entry(
     """
     d = spec.depth
     m = spec.space.total_dim
-    if m ** (d - 1) > BRUTE_FORCE_GUARD:
-        raise ResourceLimitError(
-            f"brute force needs {m ** (d - 1)} paths, guard is {BRUTE_FORCE_GUARD}")
+    check_cost("brute force", m ** (d - 1), "paths", BRUTE_FORCE_GUARD)
     b_end = tuple(b_end)
     if len(b_end) != spec.q:
         raise ValueError(f"expected {spec.q} memory values, got {len(b_end)}")
@@ -408,9 +419,7 @@ def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
     d = spec.depth
     m = spec.space.total_dim
     n = spec.space.oracle_dim
-    if m ** (d + 1) > BRUTE_FORCE_GUARD:
-        raise ResourceLimitError(
-            f"brute force needs {m ** (d + 1)} paths, guard is {BRUTE_FORCE_GUARD}")
+    check_cost("brute force", m ** (d + 1), "paths", BRUTE_FORCE_GUARD)
     oracle_of = spec.space.oracle_parts()
 
     def on_axis(vec, axis):  # a length-M vector laid along one axis of the path grid
@@ -568,12 +577,11 @@ def spectrum_via_decomposition(
     if spec.model is Model.HALF_BQP:
         raise ValueError("decomposition read-off applies to the BQP and DQCK trace forms")
     vs, free_count, _, _ = spec.restricted_chain(rho)
-    built = decompose_improved(DecompositionSpec(spec.space, tuple(vs), tracked=free_count))
+    chain = DecompositionSpec(spec.space, tuple(vs), tracked=free_count)
+    built = decompose_improved(chain)
     m = spec.space.total_dim
-    oracle_of = spec.space.oracle_parts()
     dense = built.empty_start_block()  # rows I_1, columns (I, S)
-    toggles = np.where(oracle_of < free_count, np.int64(1) << oracle_of, 0)
-    s_ends = np.arange(1 << free_count) ^ toggles[:, None]
+    s_ends = np.arange(1 << free_count) ^ chain.parity_toggles[:, None]
     cols = built.indexer.encode(np.arange(m)[:, None], s_ends)
     coeffs = dense[np.arange(m)[:, None], cols].sum(axis=0)
     coeffs /= spec.start_indices().size

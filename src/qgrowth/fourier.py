@@ -16,16 +16,13 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ResourceLimitError
-from .linalg import IMAG_TOL, MAX_QUBITS, check_table_size, f2_inner
+from .linalg import IMAG_TOL, MAX_QUBITS, check_cost, check_table_size, f2_inner
 from .models import AlgorithmSpec, Model, Restriction, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
 DIRECT_SUM_GUARD = 10**7
 #: Most index tuples one direct-summation block spans.
 _DIRECT_BLOCK = 1 << 16
-#: Largest working set, in bytes, of the level-3 block extractor.
-BLOCK_TENSOR_GUARD = 1 << 30
 #: Rounding slack on the |gamma_i| <= 1 bound of the structured sign families.
 GAMMA_SLACK = 1e-12
 
@@ -257,10 +254,7 @@ def direct_restricted_spectrum(
     imaginary parts) add it into the bins."""
     vs, free_count, skip, old_of_new = spec.restricted_chain(rho)
     m, n, count = spec.space.total_dim, spec.space.oracle_dim, len(vs)
-    if m**count > DIRECT_SUM_GUARD:
-        raise ResourceLimitError(
-            f"direct summation needs {m**count} tuples, guard is {DIRECT_SUM_GUARD}"
-        )
+    check_cost("direct summation", m**count, "tuples", DIRECT_SUM_GUARD)
     check_table_size(free_count)
     bit = np.int64(1) << np.arange(n)
     bit[free_count:] = 0
@@ -328,7 +322,7 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     x-sum GEMM onto a (B W)^3 block, W positions a coordinate, whose letters'
     W positions are summed into the tensor.
 
-    A working set above ``BLOCK_TENSOR_GUARD`` bytes is refused before the
+    A working set above ``linalg.MEMORY_BUDGET`` bytes is refused before the
     first product.
     """
     if spec.model is not Model.HALF_BQP:
@@ -341,11 +335,7 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     rho = spec.restriction(rho)
     m = spec.space.total_dim
     wk, size = m // n, m // 3  # positions per coordinate, per block
-    need = 64 * m * size**2  # K and its GEMM operand, 2 M size^2 complex each
-    if need > BLOCK_TENSOR_GUARD:
-        raise ResourceLimitError(
-            f"level-3 block tensor needs {need} bytes, guard is {BLOCK_TENSOR_GUARD}"
-        )
+    check_cost("level-3 block tensor", 64 * m * size**2)  # K and its GEMM operand, 2 M s^2 each
     v1, v2, v3, v4, v5, v6 = spec.formula_matrices
     fixed = np.repeat(rho.pattern.astype(float), wk)[:, None]  # rho_j on fixed rows, 0 on free
     accept = spec.accept.astype(float)

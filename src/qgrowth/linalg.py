@@ -26,6 +26,9 @@ MAX_QUBITS = 20
 #: Largest register dimension M: one dense M x M complex gate is then 256 MiB.
 MAX_REGISTER_DIM = 1 << 12
 
+#: Bytes any one guarded allocation may take; :func:`check_cost` reads it at each call.
+MEMORY_BUDGET = 1 << 30
+
 #: Relative and absolute slack of :func:`leq_tol`.
 LEQ_SLACK = 1e-9
 
@@ -42,6 +45,13 @@ MATCH_TOL = 1e-9
 def leq_tol(lhs: float, rhs: float) -> bool:
     """Tolerant form of the exact inequality ``lhs <= rhs``."""
     return lhs <= rhs * (1.0 + LEQ_SLACK) + LEQ_SLACK
+
+
+def check_cost(what: str, need: int, unit: str = "bytes", guard: int | None = None) -> None:
+    """Refuse work whose predicted cost ``need`` exceeds ``guard`` (default MEMORY_BUDGET)."""
+    guard = MEMORY_BUDGET if guard is None else guard
+    if need > guard:
+        raise ResourceLimitError(f"{what} needs {need} {unit}, guard is {guard}")
 
 
 def check_table_size(coords: int) -> None:

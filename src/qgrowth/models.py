@@ -14,7 +14,7 @@ applied to a slab of states grown from the model's start basis states (BQP:
 accept predicate is summed.  A plan cached on the spec folds the first query
 into per-coordinate images of gate 1 (one real GEMM of the +/-1 inputs) and
 keeps only the accepted rows of the last gate for BQP/DQCK; a plan above
-``KERNEL_PLAN_GUARD`` bytes is refused before it is formed.  Truth tables run
+``linalg.MEMORY_BUDGET`` bytes is refused before it is formed.  Truth tables run
 it on chunks of B inputs, B the largest power of two in [4, 1024] with
 B * S * M <= 2^16 for S starts and M amplitudes (a complex slab of at most
 1 MiB per worker unless 4 rows exceed it), and ``acceptance_direct`` is a
@@ -47,10 +47,10 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
-from .errors import ResourceLimitError
 from .linalg import (
     IMAG_TOL,
     IndexSpace,
+    check_cost,
     check_table_size,
     hadamard_matrix,
     is_unitary,
@@ -58,10 +58,6 @@ from .linalg import (
     phase_vector,
     random_unitary,
 )
-
-
-#: Largest kernel plan, in bytes: the (N, S, R) complex fold of gate 1.
-KERNEL_PLAN_GUARD = 1 << 30
 
 
 class Model(Enum):
@@ -199,14 +195,12 @@ class AlgorithmSpec:
         BQP/DQCK (R = |accept|), which C uses when d = 1.  S is the start count;
         ``accept`` is HALF_BQP's (start, outcome) mask as one float row, None
         for BQP/DQCK, which sum every kept outcome.  A fold above
-        ``KERNEL_PLAN_GUARD`` bytes is refused before it is formed."""
+        ``linalg.MEMORY_BUDGET`` bytes is refused before it is formed."""
         n, m = self.num_inputs, self.space.total_dim
         starts = self.start_indices()
         kept = m if self.model is Model.HALF_BQP or self.d > 1 else int(self.accept.sum())
         need = 16 * n * starts.size * kept
-        if need > KERNEL_PLAN_GUARD:
-            raise ResourceLimitError(
-                f"kernel plan needs {need} bytes, guard is {KERNEL_PLAN_GUARD}")
+        check_cost("kernel plan", need)
         last = self.unitaries[-1][... if self.model is Model.HALF_BQP else self.accept]
         second = last if self.d == 1 else self.unitaries[1]
         second = second.reshape(-1, n, m // n).transpose(1, 0, 2)
@@ -239,7 +233,7 @@ class AlgorithmSpec:
             start_proj = np.zeros(self.space.total_dim, dtype=complex)
             start_proj[self.start_indices()] = 1.0
             first = gates[0] @ (start_proj[:, None] * gates[0].conj().T)
-            middle = gates[d].conj().T @ np.diag(self.accept.astype(complex)) @ gates[d]
+            middle = (gates[d].conj().T * self.accept) @ gates[d]
             mats = (
                 [first]
                 + [gates[t].conj().T for t in range(1, d)]
@@ -449,19 +443,14 @@ def reduce_clean_qubits(spec: AlgorithmSpec, t: int) -> AlgorithmSpec:
         flat, (n_dim, w_dim, sim_dim, 2, crest_dim, 2))
     c_orig = sim * crest_dim + crest
     orig = (i_part * w_dim + w_part) * k_dim + c_orig
-    pos = (orig * 2 + coin) * 2 + flag
+    same = (coin * 2 + flag)[:, None] == coin * 2 + flag  # the gates leave (coin, flag) alone
 
     def embed(gate: np.ndarray) -> np.ndarray:
-        wide = np.kron(gate, np.eye(4, dtype=complex))
-        return wide[np.ix_(pos, pos)]
+        return np.where(same, gate[np.ix_(orig, orig)], 0)
 
-    # open-controlled Toffoli: flag ^= [sim register all-zero]
-    prep_target = np.where(sim == 0, flat ^ 1, flat)
-    prep = np.zeros((m_new, m_new), dtype=complex)
-    prep[prep_target, flat] = 1.0
-
-    gates = [embed(spec.unitaries[0]) @ prep]
-    gates += [embed(g) for g in spec.unitaries[1:]]
+    # open-controlled Toffoli flag ^= [sim register all-zero] before gate 0: a column gather
+    toffoli = np.where(sim == 0, flat ^ 1, flat)
+    gates = [embed(spec.unitaries[0])[:, toffoli]] + [embed(g) for g in spec.unitaries[1:]]
 
     accept = np.where(flag == 1, spec.accept[orig], coin == 1)
     return AlgorithmSpec(spec.model, new_space, spec.d, tuple(gates), accept)

@@ -337,6 +337,9 @@ def no_draws(monkeypatch):
      "--levels needs levels >= 2 and <= N = 2, got '2,3'"),
     (["growth", "--levels", "2,x"], "--levels takes comma-separated integers, got '2,x'"),
     (["hybrid-growth", "--levels", "2.5"], "--levels takes comma-separated integers"),
+    (["growth", "--model", "bqp", "--levels", "2,,3"],
+     "error: --levels takes comma-separated integers, got '2,,3'"),
+    (["hybrid-growth", "--levels", "2,"], "error: --levels takes comma-separated integers, got '2,'"),
     (["growth", "--n", "0"], "--n must lie in [1, 20], got 0"),
     (["growth", "--model", "bqp", "--n", "21"], "--n must lie in [1, 20], got 21"),
     (["hybrid-growth", "--n", "0"], "--n must lie in [1, 20], got 0"),
@@ -379,6 +382,7 @@ def no_draws(monkeypatch):
         "growth-seed-minus-1", "forrelation-seed-minus-1", "verify-seed-minus-1",
         "growth-levels-twice", "hybrid-levels-twice", "growth-level-above-n",
         "hybrid-level-above-n", "growth-levels-not-int", "hybrid-levels-not-int",
+        "growth-levels-empty-item", "hybrid-levels-trailing-comma",
         "growth-n-0", "growth-n-21", "hybrid-n-0", "hybrid-n-21", "reduce-n-0", "reduce-n-21",
         "growth-w-minus-1", "hybrid-w-minus-1", "reduce-w-minus-1", "growth-k-minus-1",
         "hybrid-k-minus-1", "reduce-k-minus-1", "growth-dqc1-k-3", "growth-dqc1-k-0",

@@ -19,6 +19,7 @@ from qgrowth.decomposition import (
     spectrum_via_decomposition,
     verify,
 )
+from qgrowth import linalg
 from qgrowth.errors import ResourceLimitError
 from qgrowth.linalg import (
     IndexSpace,
@@ -497,6 +498,69 @@ def test_spectrum_via_decomposition_reads_rows_without_the_full_product():
     want = spectrum_of_algorithm(spec, rho)
     assert np.max(np.abs(got.coeffs - want.coeffs)) <= 1e-8
     assert peak <= 32 << 20
+
+
+def _traced_peak(call):
+    import scipy.sparse  # noqa: F401  loaded outside the traced call
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def _refusal_peak(call, match):
+    """Traced peak of ``call``, which must raise ``ResourceLimitError`` matching ``match``."""
+    def refused():
+        with pytest.raises(ResourceLimitError, match=match):
+            call()
+    return _traced_peak(refused)
+
+
+@pytest.mark.parametrize("tracked", [6, 7, 8])
+def test_factor_build_peak_is_near_the_bytes_its_guard_states(tracked):
+    # M = 16, depth 4, no registers: dimension 16 * 2^tracked, every factor row holds M entries
+    spec = DecompositionSpec(IndexSpace(16), _unitaries(16, 4, 120), tracked=tracked)
+    stated = 20 * (4 + 2) * (16 << tracked) * 16
+    peak = _traced_peak(lambda: decompose_improved(spec))
+    assert 0.5 * stated <= peak <= 1.1 * stated  # 0.97 measured
+
+
+@pytest.mark.parametrize("tracked", [6, 7, 8])
+def test_row_push_peak_is_near_the_bytes_its_guard_states(tracked):
+    # M = 8, depth 2: all dim = 8 * 2^tracked start rows, after M and M^2 entries a row
+    built = decompose_improved(
+        DecompositionSpec(IndexSpace(8), _unitaries(8, 2, 130), tracked=tracked))
+    dim = 8 << tracked
+    stated = dim * (16 * dim + 20 * (8 + 64))
+    peak = _traced_peak(built.free_start_block)
+    assert 0.5 * stated <= peak <= 1.1 * stated  # 0.97-0.99 measured
+
+
+def test_decomposition_byte_guards_refuse_before_they_allocate(monkeypatch):
+    spec = DecompositionSpec(IndexSpace(16), _unitaries(16, 4, 120), tracked=6)
+    built = decompose_improved(spec)
+    dim = 16 << 6
+    for what, stated, call in (
+        ("factor build", 20 * 6 * dim * 16, lambda: decompose_improved(spec)),
+        ("row push", dim * (16 * dim + 20 * (dim + dim)), built.free_start_block),
+    ):
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET", stated - 1)
+        match = rf"^{what} needs {stated} bytes, guard is {stated - 1}$"
+        assert _refusal_peak(call, match) <= stated // 100
+
+
+def test_read_off_past_the_memory_budget_is_refused_before_the_factors():
+    # M = 256 with 8 free coordinates: augmented dimension 65536, under its guard, but
+    # the four factors are predicted at 20 * 6 * 65536 * 256 bytes (~1.9 GiB)
+    spec = random_spec(Model.BQP, IndexSpace(256), 2, np.random.default_rng(97))
+    rho = Restriction(np.array([0] * 8 + [1] * 248))
+    spec.restricted_chain(rho)  # formula matrices built outside the traced call
+    peak = _refusal_peak(lambda: spectrum_via_decomposition(spec, rho),
+                         r"^factor build needs 2013265920 bytes, guard is 1073741824$")
+    assert peak <= 16 << 20  # the relabeled chain only: 4 M^2 complex entries
 
 
 def test_spectrum_via_decomposition_on_tightness_circuit():

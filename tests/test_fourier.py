@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrowth import fourier
+from qgrowth import linalg
 from qgrowth.cli import main
 from qgrowth.errors import ResourceLimitError
 from qgrowth.fourier import (
@@ -471,11 +471,11 @@ def test_hbqp_block_tensor_guard_states_its_bytes(monkeypatch):
     # M = 6 and s = 2 positions a block: 64 M s^2 bytes
     spec = random_spec(Model.HALF_BQP, IndexSpace(6, 1, 1), 2, np.random.default_rng(54))
     free = Restriction.all_free(6)
-    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 1535)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1535)
     with pytest.raises(ResourceLimitError, match="needs 1536 bytes, guard is 1535"):
         hbqp_level3_block_tensor(spec, free)
     assert "formula_matrices" not in vars(spec)  # refused before any product
-    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", 1536)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1536)
     assert hbqp_level3_block_tensor(spec, free).shape == (2, 2, 2)
 
 
@@ -485,7 +485,7 @@ def test_hbqp_block_tensor_peak_is_near_the_bytes_its_guard_states(monkeypatch):
     free = Restriction.all_free(96)
     spec.formula_matrices  # built outside the traced call
     stated = 64 * 96 * 32**2
-    monkeypatch.setattr(fourier, "BLOCK_TENSOR_GUARD", stated - 1)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", stated - 1)
     with pytest.raises(ResourceLimitError, match=f"needs {stated} bytes"):
         hbqp_level3_block_tensor(spec, free)
     monkeypatch.undo()

@@ -1,10 +1,13 @@
+import ast
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from qgrowth import decomposition, fourier, linalg
 from qgrowth.errors import ResourceLimitError
 from qgrowth.linalg import (
     IndexSpace,
@@ -16,6 +19,7 @@ from qgrowth.linalg import (
     phase_vector,
     random_unitary,
 )
+from qgrowth.models import AlgorithmSpec, Model, Restriction, random_spec, truth_table
 
 
 def test_hadamard_one_qubit_exact():
@@ -194,3 +198,101 @@ def test_index_space_validation():
         IndexSpace.qubits(1, 10**12)  # refused before 1 << w is built
     # raw dimensions (block-embedded registers) are allowed
     assert IndexSpace(12, 1, 2).total_dim == 24
+
+
+
+# ---------------------------------------------------------------------------
+# the one cost check: every guard but the two caps goes through linalg.check_cost
+
+
+def _decomposition_spec():
+    # M = 2, depth 2, both coordinates tracked: augmented dimension 2 * 2^2 = 8
+    return decomposition.DecompositionSpec(IndexSpace(2), (np.eye(2),) * 2, tracked=2)
+
+
+def _kernel_plan_site():
+    # BQP at N = M = 4, d = 1, every outcome accepted: 16 N S R = 16 * 4 * 1 * 4 bytes
+    spec = AlgorithmSpec(Model.BQP, IndexSpace(4), 1, (np.eye(4),) * 2, np.ones(4, dtype=bool))
+    return lambda: truth_table(spec)
+
+
+def _direct_sum_site():
+    spec = random_spec(Model.BQP, IndexSpace(2), 1, np.random.default_rng(1))  # 2^2 tuples
+    return lambda: fourier.direct_restricted_spectrum(spec)
+
+
+def _block_tensor_site():
+    # M = 6 and s = 2 positions a block: 64 M s^2 bytes
+    spec = random_spec(Model.HALF_BQP, IndexSpace(6), 2, np.random.default_rng(2))
+    return lambda: fourier.hbqp_level3_block_tensor(spec, Restriction.all_free(6))
+
+
+def _decompose_site():
+    # augmented dimension 8; 20 (depth + 2) dim M bytes of factors
+    spec = _decomposition_spec()
+    return lambda: decomposition.decompose_improved(spec)
+
+
+def _brute_tensor_site():
+    spec = _decomposition_spec()  # M^(d+1) paths
+    return lambda: decomposition.brute_force_tensor(spec)
+
+
+def _brute_entry_site():
+    spec = _decomposition_spec()  # M^(d-1) paths
+    return lambda: decomposition.brute_force_entry(spec, 0, 0, 0)
+
+
+def _row_push_site():
+    # 8 rows of dimension 8 after M = 2 and M^2 = 4 entries a row: 8 (16 * 8 + 20 * (2 + 4))
+    return decomposition.decompose_improved(_decomposition_spec()).free_start_block
+
+
+_COST_SITES = {
+    # site: (module, guard attribute, need, message head, unit, call factory)
+    "kernel-plan": (linalg, "MEMORY_BUDGET", 256, "kernel plan", "bytes", _kernel_plan_site),
+    "direct-sum": (fourier, "DIRECT_SUM_GUARD", 4, "direct summation", "tuples",
+                   _direct_sum_site),
+    "block-tensor": (linalg, "MEMORY_BUDGET", 1536, "level-3 block tensor", "bytes",
+                     _block_tensor_site),
+    "augmented": (decomposition, "AUGMENTED_DIM_GUARD", 8, "augmented index", "states",
+                  _decompose_site),
+    "brute-tensor": (decomposition, "BRUTE_FORCE_GUARD", 8, "brute force", "paths",
+                     _brute_tensor_site),
+    "brute-entry": (decomposition, "BRUTE_FORCE_GUARD", 2, "brute force", "paths",
+                    _brute_entry_site),
+    "factor-build": (linalg, "MEMORY_BUDGET", 1280, "factor build", "bytes", _decompose_site),
+    "row-push": (linalg, "MEMORY_BUDGET", 1984, "row push", "bytes", _row_push_site),
+}
+
+
+@pytest.mark.parametrize("site", list(_COST_SITES))
+def test_every_guard_admits_its_need_and_refuses_one_more(site, monkeypatch):
+    module, attr, need, what, unit, make = _COST_SITES[site]
+    monkeypatch.setattr(module, attr, need)
+    make()()  # need == guard is admitted
+    monkeypatch.setattr(module, attr, need - 1)
+    with pytest.raises(ResourceLimitError,
+                       match=rf"^{what} needs {need} {unit}, guard is {need - 1}$"):
+        make()()
+
+
+def test_one_memory_budget_moves_every_byte_guard(monkeypatch):
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 255)
+    for site in ("kernel-plan", "block-tensor", "factor-build"):
+        with pytest.raises(ResourceLimitError, match=r"bytes, guard is 255$"):
+            _COST_SITES[site][-1]()()
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1983)
+    with pytest.raises(ResourceLimitError, match=r"^row push needs 1984 bytes, guard is 1983$"):
+        _row_push_site()()
+
+
+def test_resource_limit_error_is_raised_only_by_the_checks_and_the_forrelation_caps():
+    raised = {}
+    for path in sorted((Path(__file__).parents[1] / "src" / "qgrowth").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == "ResourceLimitError"):
+                raised[path.stem] = raised.get(path.stem, 0) + 1
+    # linalg: check_cost, check_table_size and check_register_size
+    assert raised == {"linalg": 3, "forrelation": 2}
