@@ -89,17 +89,18 @@ class DecompositionSpec:
         if not 0 <= tracked <= self.space.oracle_dim:
             raise ValueError(f"tracked prefix must lie in [0, {self.space.oracle_dim}]")
         d = len(mats)
-        skip = frozenset(int(t) for t in self.parity_skip)
-        if any(t < 1 or t > d for t in skip):
+        # each label is checked as given, so int() cannot truncate 1.5 into range
+        if any(not (float(t).is_integer() and 1 <= t <= d) for t in self.parity_skip):
             raise ValueError("parity_skip positions must lie in [1, d]")
+        for s, t in self.equality_pairs:
+            if not (float(s).is_integer() and float(t).is_integer() and 2 <= s < t <= d):
+                raise ValueError(f"equality pair ({s}, {t}) must satisfy 2 <= s < t <= d")
+        for r in self.memory_positions:
+            if not (float(r).is_integer() and 2 <= r <= d):
+                raise ValueError(f"memory position {r} must lie in [2, d]")
+        skip = frozenset(int(t) for t in self.parity_skip)
         pairs = tuple((int(s), int(t)) for s, t in self.equality_pairs)
         mems = tuple(int(r) for r in self.memory_positions)
-        for s, t in pairs:
-            if not (2 <= s < t <= d):
-                raise ValueError(f"equality pair ({s}, {t}) must satisfy 2 <= s < t <= d")
-        for r in mems:
-            if not 2 <= r <= d:
-                raise ValueError(f"memory position {r} must lie in [2, d]")
         labels = [x for pair in pairs for x in pair] + list(mems)
         if len(labels) != len(set(labels)):
             raise ValueError("equality/memory position labels must all be distinct")
@@ -456,12 +457,16 @@ def verify(spec: DecompositionSpec) -> dict:
     Returns a report with the maximum entrywise deviation, the factor
     operator norms, the Frobenius comparison, and pass flags per guarantee.
     """
-    built = decompose_improved(spec)
-    bins = brute_force_tensor(spec)
     m = spec.space.total_dim
     n = spec.space.oracle_dim
     span_s = 1 << spec.tracked
     span_b = n**spec.q
+    rows, cols = m * span_s, m * span_s * span_b
+    # the dense start block (16 B a column), then got, want, got - want (16 B each) and
+    # |got - want| (8 B) over rows x cols; cols <= dim, so this bounds both stages
+    check_cost("verify compare", rows * (16 * _make_indexer(spec).dim + 40 * cols))
+    built = decompose_improved(spec)
+    bins = brute_force_tensor(spec)
 
     # columns (I_end, S_end) with empty A and B holding value + 1
     b_values = np.unravel_index(np.arange(span_b), (n,) * spec.q) if spec.q else ()

@@ -18,7 +18,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import ResourceLimitError
-from .fourier import fwht
+from .fourier import FourierSpectrum, fwht
 from .linalg import MAX_QUBITS, IndexSpace, check_table_size, f2_inner, hadamard_matrix
 from .models import AlgorithmSpec, Model, Restriction, acceptance_direct
 
@@ -174,18 +174,19 @@ def tightness_circuit(n: int, d: int) -> TraceCircuit:
     return TraceCircuit(spec, Restriction(np.repeat([1, 0], live)), n, d)
 
 
-def tightness_coefficient(circuit: TraceCircuit, offsets) -> float:
-    """Predicted coefficient at the subset picking block-local offset
-    offsets[t] in block t: sign (-1)^(<i_1,i_2> + ... + <i_d,i_1>) over
-    2N * N^(d/2)."""
-    offsets = list(offsets)
-    d = circuit.num_blocks
-    size = circuit.block_size
-    parity = 0
-    for t in range(d):
-        parity ^= f2_inner(offsets[t], offsets[(t + 1) % d])
+def tightness_spectrum(circuit: TraceCircuit) -> FourierSpectrum:
+    """Predicted spectrum over the d*N live bits, bit t*N + i being offset i of block t: 1/2
+    at the empty set, (-1)^(<i_1,i_2> + ... + <i_d,i_1>) / (2N * N^(d/2)) at the set picking
+    offset i_t in each block t, and 0 everywhere else."""
+    d, size = circuit.num_blocks, circuit.block_size
+    picks = np.indices((size,) * d).reshape(d, -1)  # row t: block t's offset, one column a set
+    parity = np.bitwise_xor.reduce(f2_inner(picks, np.roll(picks, -1, axis=0)), axis=0)
+    masks = (1 << (np.arange(d)[:, None] * size + picks)).sum(axis=0)
     magnitude = 1.0 / (2 * size * size ** (d / 2))
-    return -magnitude if parity else magnitude
+    coeffs = np.zeros(1 << (d * size))
+    coeffs[0] = 0.5
+    coeffs[masks] = np.where(parity, -magnitude, magnitude)
+    return FourierSpectrum(d * size, coeffs)
 
 
 def tightness_level_growth(n: int, d: int) -> float:
@@ -207,10 +208,8 @@ def random_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInst
 def forrelated_instance(k: int, n: int, rng: np.random.Generator) -> ForrelationInstance:
     """Demo generator biasing the amplitude upward: the last block is the sign
     pattern of the transformed previous block.  No distributional claim."""
-    check_instance_size(k, n)
-    blocks = rng.choice(np.array([-1.0, 1.0]), size=(k, 1 << n))
+    blocks = random_instance(k, n, rng).blocks
     if k >= 2:
         transformed = fwht(blocks[k - 2]) / np.sqrt(1 << n)
-        signs = np.where(transformed >= 0, 1.0, -1.0)
-        blocks[k - 1] = signs
+        blocks[k - 1] = np.where(transformed >= 0, 1.0, -1.0)
     return ForrelationInstance(k, n, blocks)

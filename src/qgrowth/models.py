@@ -76,12 +76,12 @@ class Restriction:
     pattern: np.ndarray
 
     def __post_init__(self):
-        pattern = np.asarray(self.pattern, dtype=np.int8)
+        pattern = np.asarray(self.pattern)  # checked before the int8 cast, which would wrap 257
         if pattern.ndim != 1:
             raise ValueError("restriction pattern must be one-dimensional")
         if not np.all(np.isin(pattern, (-1, 0, 1))):
             raise ValueError("restriction entries must be -1, 0 (star) or +1")
-        object.__setattr__(self, "pattern", pattern)
+        object.__setattr__(self, "pattern", pattern.astype(np.int8))
 
     @classmethod
     def all_free(cls, n: int) -> "Restriction":

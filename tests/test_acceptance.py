@@ -12,8 +12,8 @@ from qgrowth.forrelation import (
     forr_dense,
     random_instance,
     tightness_circuit,
-    tightness_coefficient,
     tightness_level_growth,
+    tightness_spectrum,
 )
 from qgrowth.fourier import (
     SignFamily,
@@ -159,15 +159,10 @@ def test_criterion_5_tightness():
     want_growth = tightness_level_growth(2, 3)   # = 1.0
     nonzero = np.flatnonzero(np.abs(sp.coeffs) > 1e-12)
     nonzero = nonzero[nonzero != 0]
-    magnitude = 1.0 / 64
+    want = tightness_spectrum(circ).coeffs
+    magnitude = np.abs(want[1:]).max()   # = 1/64
     mags_ok = bool(np.all(np.abs(np.abs(sp.coeffs[nonzero]) - magnitude) <= 1e-9))
-    signs_ok = True
-    for i in range(4):
-        for j in range(4):
-            for l in range(4):
-                mask = (1 << i) | (1 << (4 + j)) | (1 << (8 + l))
-                want = tightness_coefficient(circ, [i, j, l])
-                signs_ok &= abs(sp.coeffs[mask] - want) <= 1e-9
+    signs_ok = bool(np.all(np.abs(sp.coeffs - want) <= 1e-9))
     ok = (
         abs(level_growth - want_growth) <= 1e-9
         and nonzero.size == 64

@@ -106,22 +106,44 @@ def test_tightness_command(tmp_path, capsys):
     assert "PASS" in capsys.readouterr().err
 
 
-def test_tightness_checks_coefficient_signs(monkeypatch, tmp_path):
-    # negating one coefficient keeps every magnitude, the count and the growth
+def _tightness_with(edit, monkeypatch, tmp_path):
+    """Exit code and document of ``tightness --n 1 --d 2`` on the real spectrum edited by
+    ``edit``, after checking the unedited run passes."""
     real = fourier.spectrum_of_algorithm
 
-    def one_sign_flipped(*args, **kwargs):
+    def edited(*args, **kwargs):
         sp = real(*args, **kwargs)
         coeffs = sp.coeffs.copy()
-        coeffs[np.flatnonzero(np.abs(coeffs) > cli.ZERO_TOL)[-1]] *= -1
+        edit(coeffs)
         return fourier.FourierSpectrum(sp.num_vars, coeffs)
 
     argv = ["tightness", "--n", "1", "--d", "2", "--workers", "1", "--out"]
     assert main(argv + [str(tmp_path / "real.json")]) == 0
-    monkeypatch.setattr(fourier, "spectrum_of_algorithm", one_sign_flipped)
-    out = tmp_path / "flipped.json"
-    assert main(argv + [str(out)]) == 1
-    doc = json.loads(out.read_text())
+    monkeypatch.setattr(fourier, "spectrum_of_algorithm", edited)
+    out = tmp_path / "edited.json"
+    code = main(argv + [str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_tightness_checks_coefficient_signs(monkeypatch, tmp_path):
+    # negating one coefficient keeps every magnitude, the count and the growth
+    def flip_one(coeffs):
+        coeffs[np.flatnonzero(np.abs(coeffs) > cli.ZERO_TOL)[-1]] *= -1
+
+    code, doc = _tightness_with(flip_one, monkeypatch, tmp_path)
+    assert code == 1
+    assert doc["pass"] is False
+    assert doc["nonzero_coefficients"] == doc["expected_nonzero"]
+    assert abs(doc["growth"] - doc["expected_growth"]) <= cli.MATCH_TOL
+
+
+def test_tightness_checks_the_empty_set_coefficient(monkeypatch, tmp_path):
+    # the empty set is outside the nonzero count and the level-d growth
+    def shift_empty(coeffs):
+        coeffs[0] += 0.1
+
+    code, doc = _tightness_with(shift_empty, monkeypatch, tmp_path)
+    assert code == 1
     assert doc["pass"] is False
     assert doc["nonzero_coefficients"] == doc["expected_nonzero"]
     assert abs(doc["growth"] - doc["expected_growth"]) <= cli.MATCH_TOL
@@ -673,6 +695,50 @@ def test_benchmark_surface_exists():
         except (AttributeError, ImportError):
             missing.append(f"{module}:{name}")
     assert missing == []
+
+
+#: Public names with no caller in src/qgrowth or perfbench, each kept for its one reason.
+_UNCALLED_API = {
+    "models.acceptance_hybrid": "the per-input oracle the tests hold hybrid tables to",
+    "models.spec_to_json": "the spec writer README documents",
+    "decomposition.brute_force_entry": "the per-entry oracle the tests hold the tensor to",
+    "decomposition.AugmentedMatrix.entry": "one product entry, read by the tests",
+    "forrelation.TraceCircuit.live_value": "the trace circuit's acceptance at one live input",
+    "forrelation.TraceCircuit.trace_value": "the dense-product trace the tests compare with",
+}
+
+
+def test_every_public_name_has_a_caller_or_a_stated_reason():
+    # public: a top-level function or class of src/qgrowth, or a method of a public class;
+    # a caller: a use outside the definition in src/qgrowth, or any mention in perfbench
+    api, uses = {}, []
+    for path in sorted(ROOT.glob("src/qgrowth/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name[0] != "_":
+                api[f"{path.stem}.{node.name}"] = node
+                for item in node.body if isinstance(node, ast.ClassDef) else ():
+                    if isinstance(item, ast.FunctionDef) and item.name[0] != "_":
+                        api[f"{path.stem}.{node.name}.{item.name}"] = item
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((node.id, node, False))
+            elif isinstance(node, ast.Attribute):
+                uses.append((node.attr, node, True))
+    bench = {node.id if isinstance(node, ast.Name) else
+             node.attr if isinstance(node, ast.Attribute) else node.name
+             for path in ROOT.glob("perfbench/*.py")
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Name, ast.Attribute, ast.alias))}
+    uncalled = set()
+    for key, definition in api.items():
+        name, is_method = key.rsplit(".", 1)[1], key.count(".") == 2
+        inside = set(map(id, ast.walk(definition)))
+        if name not in bench and not any(
+                used == name and id(node) not in inside and (is_attr or not is_method)
+                for used, node, is_attr in uses):
+            uncalled.add(key)
+    assert uncalled == set(_UNCALLED_API)
 
 
 def test_spectrum_command_requires_spec():

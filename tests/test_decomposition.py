@@ -372,6 +372,16 @@ def test_validation_of_constraint_labels():
         DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, equality_pairs=((3, 2),))
     with pytest.raises(ValueError, match=r"memory position 1 must lie in \[2, d\]"):
         DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, memory_positions=(1,))
+    # a label is checked as given: int() would truncate 1.5 (or 2.5) into range
+    with pytest.raises(ValueError, match=r"parity_skip positions must lie in \[1, d\]"):
+        DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, parity_skip=frozenset({1.5}))
+    with pytest.raises(ValueError, match=r"equality pair \(2, 3.5\) must satisfy"):
+        DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, equality_pairs=((2, 3.5),))
+    with pytest.raises(ValueError, match=r"memory position 2.5 must lie in \[2, d\]"):
+        DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, memory_positions=(2.5,))
+    spec = DecompositionSpec(IndexSpace(2, 1, 1), mats, tracked=1, parity_skip={np.int64(2)},
+                             equality_pairs=((2.0, np.int32(3)),), memory_positions=(4.0,))
+    assert (spec.parity_skip, spec.equality_pairs, spec.memory_positions) == ({2}, ((2, 3),), (4,))
     with pytest.raises(ValueError, match="decompose takes no equality/memory constraints"):
         decompose(
             DecompositionSpec(
@@ -537,6 +547,24 @@ def test_row_push_peak_is_near_the_bytes_its_guard_states(tracked):
     stated = dim * (16 * dim + 20 * (8 + 64))
     peak = _traced_peak(built.free_start_block)
     assert 0.5 * stated <= peak <= 1.1 * stated  # 0.97-0.99 measured
+
+
+@pytest.mark.parametrize("tracked", [6, 7, 8])
+def test_verify_peak_is_near_the_bytes_its_guard_states(tracked):
+    # M = 8, depth 2, no registers: the compare's rows and columns both span dim = 8 * 2^tracked
+    spec = DecompositionSpec(IndexSpace(8), _unitaries(8, 2, 130), tracked=tracked)
+    dim = 8 << tracked
+    stated = dim * (16 * dim + 40 * dim)
+    peak = _traced_peak(lambda: verify(spec))
+    assert 0.5 * stated <= peak <= 1.1 * stated  # 1.01-1.02 measured
+
+
+def test_verify_refuses_its_compare_before_any_factor(monkeypatch):
+    spec = DecompositionSpec(IndexSpace(8), _unitaries(8, 2, 130), tracked=8)
+    stated = 56 * 2048 * 2048
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", stated - 1)
+    match = rf"^verify compare needs {stated} bytes, guard is {stated - 1}$"
+    assert _refusal_peak(lambda: verify(spec), match) <= 1 << 20
 
 
 def test_decomposition_byte_guards_refuse_before_they_allocate(monkeypatch):

@@ -13,11 +13,11 @@ from qgrowth.forrelation import (
     forrelated_instance,
     random_instance,
     tightness_circuit,
-    tightness_coefficient,
     tightness_level_growth,
+    tightness_spectrum,
 )
 from qgrowth.fourier import growth, spectrum_of_algorithm
-from qgrowth.linalg import hadamard_matrix
+from qgrowth.linalg import MATCH_TOL, hadamard_matrix
 from qgrowth.models import acceptance_direct
 
 
@@ -142,18 +142,25 @@ def test_trace_circuit_is_dqc1_with_restriction():
 def test_tightness_small_structure():
     circ = tightness_circuit(1, 2)
     sp = spectrum_of_algorithm(circ.spec, circ.rho)
-    assert sp.num_vars == 4
+    want = tightness_spectrum(circ)
+    assert sp.num_vars == want.num_vars == 4
     # support: the empty set plus one-index-per-block subsets
-    expected = {0}
-    for i in range(2):
-        for j in range(2):
-            mask = (1 << i) | (1 << (2 + j))
-            expected.add(mask)
-            want = tightness_coefficient(circ, [i, j])
-            assert sp.coeffs[mask] == pytest.approx(want, abs=1e-9)
-    nz = set(np.flatnonzero(np.abs(sp.coeffs) > 1e-12).tolist())
-    assert nz == expected
+    nz = np.flatnonzero(np.abs(sp.coeffs) > 1e-12)
+    assert nz.tolist() == np.flatnonzero(want.coeffs).tolist()
+    assert nz.size == 1 + 2 * 2
+    assert np.all(np.abs(sp.coeffs - want.coeffs) <= 1e-9)
     assert growth(sp, 2) == pytest.approx(tightness_level_growth(1, 2), abs=1e-9)
+
+
+@pytest.mark.parametrize("n, d", [(n, d) for n in (1, 2, 3) for d in range(1, (12 >> n) + 1)])
+def test_tightness_spectrum_is_the_table_spectrum(n, d):
+    # every (n, d) with d * 2^n <= 12: each of the 2^(d N) masks, zeros and the empty set included
+    circ = tightness_circuit(n, d)
+    want = tightness_spectrum(circ)
+    got = spectrum_of_algorithm(circ.spec, circ.rho)
+    assert want.num_vars == got.num_vars == d << n
+    assert np.all(np.abs(got.coeffs - want.coeffs) <= MATCH_TOL)
+    assert abs(growth(want, d) - tightness_level_growth(n, d)) <= 1e-12
 
 
 @pytest.mark.parametrize("n, d", [(1, 2), (1, 4), (2, 3)])

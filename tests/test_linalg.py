@@ -248,6 +248,11 @@ def _row_push_site():
     return decomposition.decompose_improved(_decomposition_spec()).free_start_block
 
 
+def _verify_site():
+    spec = _decomposition_spec()
+    return lambda: decomposition.verify(spec)
+
+
 _COST_SITES = {
     # site: (module, guard attribute, need, message head, unit, call factory)
     "kernel-plan": (linalg, "MEMORY_BUDGET", 256, "kernel plan", "bytes", _kernel_plan_site),
@@ -263,6 +268,8 @@ _COST_SITES = {
                     _brute_entry_site),
     "factor-build": (linalg, "MEMORY_BUDGET", 1280, "factor build", "bytes", _decompose_site),
     "row-push": (linalg, "MEMORY_BUDGET", 1984, "row push", "bytes", _row_push_site),
+    # 8 rows and 8 compared columns of dimension 8: 8 (16 * 8 + 40 * 8)
+    "verify": (linalg, "MEMORY_BUDGET", 3584, "verify compare", "bytes", _verify_site),
 }
 
 

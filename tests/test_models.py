@@ -116,6 +116,19 @@ def test_restriction_string_rejects_other_characters(head, bad, tail):
         Restriction.from_string(head + bad + tail)
 
 
+@pytest.mark.parametrize("pattern", [[0.5, -1], [1.9, 0], np.array([257, 0]), [np.nan, 1]],
+                         ids=["half", "1.9", "257", "nan"])
+def test_restriction_entries_are_checked_before_the_int8_cast(pattern):
+    with pytest.raises(ValueError, match=r"^restriction entries must be -1, 0 \(star\) or \+1$"):
+        Restriction(pattern)
+
+
+def test_restriction_takes_numpy_integers_and_whole_floats():
+    assert Restriction([1.0, 0.0, -1.0]).to_string() == "+*-"
+    rho = Restriction(np.array([-1, 0, 1], dtype=np.int64))
+    assert rho.to_string() == "-*+" and rho.pattern.dtype == np.int8
+
+
 @pytest.mark.parametrize("model", list(Model))
 def test_formula_matrices_are_cached_and_read_only(model):
     space = IndexSpace.qubits(1, 0, 1 if model is Model.DQCK else 0)
