@@ -32,6 +32,7 @@ import numpy as np
 from .linalg import (
     IMAG_TOL,
     MATCH_TOL,
+    SLICE_BYTES,
     IndexSpace,
     check_cost,
     frobenius_norm,
@@ -230,11 +231,7 @@ class AugmentedMatrix:
 
     def _rows(self, i_start, s_start) -> np.ndarray:
         rows = np.ravel(self.indexer.encode(i_start, s_start))
-        dim, depth = self.indexer.dim, len(self.factors)
-        # after t factors a row holds at most M^t entries; the last two sparse row sets
-        # (16-byte value, 4-byte column an entry) and the dense block coexist
-        widths = [min(dim, self.indexer.m ** t) for t in (depth - 1, depth)]
-        check_cost("row push", rows.size * (16 * dim + 20 * sum(widths)))
+        check_cost("row push", rows.size * _push_row_bytes(self.indexer, len(self.factors)))
         out = self.factors[0][rows]
         for factor in self.factors[1:]:
             out = out @ factor
@@ -256,6 +253,14 @@ class AugmentedMatrix:
 
     def factor_operator_norms(self) -> list:
         return [_block_spectral_norm(factor) for factor in self.factors]
+
+
+def _push_row_bytes(indexer: AugmentedIndexer, depth: int) -> int:
+    """Bytes one start row takes through ``depth`` factors: after t factors a row holds
+    at most M^t entries; the last two sparse row sets (16-byte value, 4-byte column an
+    entry) and the dense row coexist."""
+    widths = [min(indexer.dim, indexer.m ** t) for t in (depth - 1, depth)]
+    return 16 * indexer.dim + 20 * sum(widths)
 
 
 def _block_spectral_norm(factor: sp.csr_matrix) -> float:
@@ -454,33 +459,56 @@ def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
 def verify(spec: DecompositionSpec) -> dict:
     """Construct, compare entrywise against brute force, and check the norms.
 
+    The M * 2^tracked start rows (I, S) go through the factors in slices of about
+    ``linalg.SLICE_BYTES``; each slice is compared with the brute-force bins and
+    dropped, so the dense start block is never whole.  A row pushed alone is that
+    row of the full product bit for bit and a maximum is exact, so the report does
+    not depend on the slice size.
+
     Returns a report with the maximum entrywise deviation, the factor
     operator norms, the Frobenius comparison, and pass flags per guarantee.
     """
-    m = spec.space.total_dim
-    n = spec.space.oracle_dim
-    span_s = 1 << spec.tracked
-    span_b = n**spec.q
-    rows, cols = m * span_s, m * span_s * span_b
-    # the dense start block (16 B a column), then got, want, got - want (16 B each) and
-    # |got - want| (8 B) over rows x cols; cols <= dim, so this bounds both stages
-    check_cost("verify compare", rows * (16 * _make_indexer(spec).dim + 40 * cols))
+    m, n, d = spec.space.total_dim, spec.space.oracle_dim, spec.depth
+    span_s, span_b = 1 << spec.tracked, n**spec.q
+    indexer = _make_indexer(spec)
+    dim, rows, cols = indexer.dim, m * span_s, m * span_s * span_b
+    # a slice row is its push, then its dense row with got, want and got - want (16 B a
+    # column each; got is dropped before |got - want| takes 8)
+    per_row = max(_push_row_bytes(indexer, d), 16 * dim + 48 * cols)
+    step = max(1, SLICE_BYTES // per_row)
+    nnz = dim * m  # nonzeros of one factor: a row holds at most M
+    # 16 KiB of fixed overhead (objects and small arrays) and the factors (20 B a nonzero)
+    # stay throughout; next to them peaks the brute force (at most 64 B a path, 32 B a
+    # bin), the bins with the empty-start rows and one slice, or one factor's block norms:
+    # ~150 B a nonzero, which also covers building a factor, and a dense block of up to
+    # 2M nodes (16 B an entry)
+    check_cost("verify", (1 << 14) + 20 * d * nnz + max(
+        64 * m ** (d + 1) + 32 * m * cols,
+        16 * m * (cols + dim) + min(step, rows) * per_row,
+        150 * nnz + 64 * m * m))
     built = decompose_improved(spec)
-    bins = brute_force_tensor(spec)
+    # laid out (I_start, S, I_end, B), so that each slice's want is one contiguous gather
+    bins = np.ascontiguousarray(brute_force_tensor(spec).transpose(0, 2, 1, 3))
 
-    # columns (I_end, S_end) with empty A and B holding value + 1
+    # columns (S_end, I_end) with empty A and B holding value + 1
     b_values = np.unravel_index(np.arange(span_b), (n,) * spec.q) if spec.q else ()
-    cols = built.indexer.encode(
-        np.arange(m)[:, None, None], np.arange(span_s)[:, None], b_digits=[v + 1 for v in b_values]
-    )
-    free = built.free_start_block()
-    block_frob = frobenius_norm(free[::span_s])  # rows (I, S = empty): the empty-start block
-    got = free[:, cols].reshape(m, span_s, m, span_s, span_b)
-    del free  # not held through the compare and the factor norms below
-    # path parity s satisfies s_end = s1 ^ s
-    xor = np.arange(span_s)[:, None] ^ np.arange(span_s)[None, :]
-    want = bins[:, :, xor, :].transpose(0, 2, 1, 3, 4)
-    max_dev = float(np.max(np.abs(got - want)))
+    col_index = np.ravel(indexer.encode(
+        np.arange(m)[:, None], np.arange(span_s)[:, None, None], b_digits=[v + 1 for v in b_values]
+    ))
+    empty = np.empty((m, dim), dtype=complex)  # rows (I, S = empty): the empty-start block
+
+    def slice_deviation(lo):
+        i1, s1 = np.divmod(np.arange(lo, min(lo + step, rows)), span_s)
+        block = built._rows(i1, s1)
+        first = -lo % span_s  # the slice's rows with S = empty, as a view
+        empty[i1[first::span_s]] = block[first::span_s]
+        # path parity s satisfies s_end = s1 ^ s; want is laid out (row, S_end, I_end, B)
+        want = bins[i1[:, None], s1[:, None] ^ np.arange(span_s)]
+        return np.max(np.abs(block.take(col_index, axis=1) - want.reshape(i1.size, -1)))
+
+    max_dev = float(np.max([slice_deviation(lo) for lo in range(0, rows, step)]))
+    block_frob = frobenius_norm(empty)
+    del empty, bins  # not held through the factor norms
 
     factor_norms = built.factor_operator_norms()
     min_input_frob = min(frobenius_norm(u) for u in spec.matrices)

@@ -17,8 +17,8 @@ keeps only the accepted rows of the last gate for BQP/DQCK; a plan above
 ``linalg.MEMORY_BUDGET`` bytes is refused before it is formed.  Truth tables run
 it on chunks of B inputs, B the largest power of two in [4, 1024] with
 B * S * M <= 2^16 for S starts and M amplitudes (a complex slab of at most
-1 MiB per worker unless 4 rows exceed it), and ``acceptance_direct`` is a
-batch of one.  ``acceptance_formula`` evaluates the closed-form
+``linalg.SLICE_BYTES``, 1 MiB, per worker unless 4 rows exceed it), and
+``acceptance_direct`` is a batch of one.  ``acceptance_formula`` evaluates the closed-form
 matrix-product expression for the same quantity and shares no code with the
 kernel; the two must agree to 1e-9, which the test suite certifies.  The
 closed forms differ only by whether the start is revealed: BQP and DQCK
@@ -49,6 +49,7 @@ import numpy as np
 
 from .linalg import (
     IMAG_TOL,
+    SLICE_BYTES,
     IndexSpace,
     check_cost,
     check_table_size,
@@ -206,7 +207,7 @@ class AlgorithmSpec:
         second = second.reshape(-1, n, m // n).transpose(1, 0, 2)
         first = self.unitaries[0][:, starts].reshape(n, m // n, -1)
         fold = np.empty((n, starts.size, kept), dtype=complex)
-        step = max(1, (1 << 20) // max(1, need // n))  # slices of ~1 MiB, not a second whole fold
+        step = max(1, SLICE_BYTES // max(1, need // n))  # slices, not a second whole fold
         for lo in range(0, n, step):
             fold[lo:lo + step] = (second[lo:lo + step] @ first[lo:lo + step]).transpose(0, 2, 1)
         accept = self.accept.reshape(-1).astype(float) if self.model is Model.HALF_BQP else None
@@ -381,7 +382,7 @@ def truth_table(
     swept = size // 2 if 0 < free == n else size
     per_row = spec._kernel_plan[2] * spec.space.total_dim  # S * M slab entries per input
     if chunk is None:
-        chunk = 1 << min(10, max(2, ((1 << 16) // per_row).bit_length() - 1))
+        chunk = 1 << min(10, max(2, (SLICE_BYTES // 16 // per_row).bit_length() - 1))
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, swept)) for lo in range(0, swept, chunk)]
     rows = np.tile(np.where(rho.pattern == 0, 1, rho.pattern).astype(np.int8), (swept, 1))

@@ -268,8 +268,10 @@ _COST_SITES = {
                     _brute_entry_site),
     "factor-build": (linalg, "MEMORY_BUDGET", 1280, "factor build", "bytes", _decompose_site),
     "row-push": (linalg, "MEMORY_BUDGET", 1984, "row push", "bytes", _row_push_site),
-    # 8 rows and 8 compared columns of dimension 8: 8 (16 * 8 + 40 * 8)
-    "verify": (linalg, "MEMORY_BUDGET", 3584, "verify compare", "bytes", _verify_site),
+    # 16 KiB of fixed overhead, two factors of 16 nonzeros (20 B each), then one slice of
+    # the 8 start rows of dimension 8 and 8 compared columns, next to the bins and the
+    # empty-start rows: 16384 + 20 * 2 * 16 + 8 * (16 * 8 + 48 * 8) + 16 * 2 * (8 + 8)
+    "verify": (linalg, "MEMORY_BUDGET", 21632, "verify", "bytes", _verify_site),
 }
 
 
