@@ -12,8 +12,7 @@ Every factor has operator norm at most 1, and the product (its empty-start
 row block, for the improved form) has Frobenius norm at most the smallest
 input Frobenius norm.  :func:`verify` certifies all of this numerically
 against :func:`brute_force_tensor`, an independent raw summation over all
-index paths; :func:`brute_force_entry` is the per-entry reference the tests
-check :func:`brute_force_tensor` against.
+index paths.
 
 The augmented index is flattened by :class:`AugmentedIndexer` alone.  Register
 digits are base N+1: digit 0 means "empty slot" and digit v in [1, N] stores
@@ -24,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import product as iter_product
 from typing import TYPE_CHECKING, Optional
 
 import numpy as np
@@ -48,9 +46,6 @@ if TYPE_CHECKING:
 
 #: Largest augmented dimension materialized as factors.
 AUGMENTED_DIM_GUARD = 65536
-
-#: Guard for the raw brute-force summations: M^(d+1) paths for the tensor, M^(d-1) for one entry.
-BRUTE_FORCE_GUARD = 10**7
 
 #: Read only by the benchmark's factorizations workload; no code path here uses it.
 _DENSE_SVD_CUTOFF = 2048
@@ -128,22 +123,6 @@ class DecompositionSpec:
         """Mask each composite index toggles in S: its oracle value's bit if tracked, else 0."""
         oracle_of = self.space.oracle_parts()
         return np.where(oracle_of < self.tracked, np.int64(1) << oracle_of, 0)
-
-
-def parity_update(s_mask: int, oracle_index: int, position: int, spec: DecompositionSpec) -> int:
-    """Parity-set transition at one position of the chain.
-
-    Toggles ``oracle_index`` in the mask when the position is in [2, d], not
-    skipped, and the index falls inside the tracked prefix; otherwise the
-    mask passes through unchanged.
-    """
-    if (
-        2 <= position <= spec.depth
-        and position not in spec.parity_skip
-        and 0 <= oracle_index < spec.tracked
-    ):
-        return s_mask ^ (1 << oracle_index)
-    return s_mask
 
 
 @dataclass(frozen=True)
@@ -236,11 +215,6 @@ class AugmentedMatrix:
         for factor in self.factors[1:]:
             out = out @ factor
         return out.toarray()
-
-    def entry(self, i_start, s_start, i_end, s_end, b_end=None):
-        """Product entry from row (i_start, s_start) with empty registers."""
-        col = self.indexer.encode(i_end, s_end, b_digits=b_end)
-        return complex(self._rows(i_start, s_start)[0, col])
 
     def empty_start_block(self) -> np.ndarray:
         """Dense product rows with S = empty and empty registers."""
@@ -366,66 +340,30 @@ def decompose_improved(spec: DecompositionSpec) -> AugmentedMatrix:
 # independent brute-force summation
 
 
-def brute_force_entry(
-    spec: DecompositionSpec,
-    i_start: int,
-    i_end: int,
-    s_end: int,
-    b_end=(),
-) -> complex:
-    """Raw summation over the d-1 inner indices with all indicators explicit.
-
-    This is the oracle the factorizations are checked against; it shares no
-    code with the factor construction.
-    """
-    d = spec.depth
-    m = spec.space.total_dim
-    check_cost("brute force", m ** (d - 1), "paths", BRUTE_FORCE_GUARD)
-    b_end = tuple(b_end)
-    if len(b_end) != spec.q:
-        raise ValueError(f"expected {spec.q} memory values, got {len(b_end)}")
-    oracle_of = spec.space.oracle_parts()
-    total = 0.0 + 0.0j
-    for inner in iter_product(range(m), repeat=d - 1):
-        path = (i_start,) + inner + (i_end,)
-        weight = 1.0 + 0.0j
-        for t in range(d):
-            weight *= spec.matrices[t][path[t], path[t + 1]]
-            if weight == 0:
-                break
-        if weight == 0:
-            continue
-        mask = 0
-        for t in range(2, d + 1):
-            mask = parity_update(mask, int(oracle_of[path[t - 1]]), t, spec)
-        if mask != s_end:
-            continue
-        if any(oracle_of[path[s - 1]] != oracle_of[path[t - 1]] for s, t in spec.equality_pairs):
-            continue
-        if any(
-            oracle_of[path[r - 1]] != b_end[j] for j, r in enumerate(spec.memory_positions)
-        ):
-            continue
-        total += weight
-    return total
+def _brute_force_bytes(spec: DecompositionSpec) -> int:
+    """Peak bytes of :func:`brute_force_tensor`: at most 64 a path of the (M,)*(d+1) grid
+    (weights, keep mask, codes, kept paths) and 32 a bin (the bins, a bincount output)."""
+    m, span = spec.space.total_dim, (1 << spec.tracked) * spec.space.oracle_dim**spec.q
+    return 64 * m ** (spec.depth + 1) + 32 * m * m * span
 
 
 def brute_force_tensor(spec: DecompositionSpec) -> np.ndarray:
     """All brute-force values at once, shaped (I_1, I_end, parity, B-digits).
 
-    Entry [i1, ie, s, b] equals ``brute_force_entry(spec, i1, ie, s_end=s,
-    b_end=decode(b)+1)``: s is the parity a path collects from an empty start,
-    so a start parity s1 ends at s1 xor s.  Memory digits use base N with
-    stored value v-1.  Path weights fill the (M,)*(d+1) grid by broadcasting,
+    Entry [i1, ie, s, b] sums the weights of the index paths from i1 to ie whose
+    equality pairs hold, whose parity from an empty start is s (so a start parity
+    s1 ends at s1 xor s) and whose memory positions hold b's base-N digits as
+    oracle values.  Path weights fill the (M,)*(d+1) grid by broadcasting,
     w[p_0..p_t, p_{t+1}] = w[p_0..p_t] * U_t[p_t, p_{t+1}], so each product is
     taken in path order; parities, equality keeps and memory digits broadcast
     from one length-M vector per axis.  Nonzero kept paths are binned in path
-    order by ``np.bincount``, as ``np.add.at`` did, at about 33 bytes a path.
+    order by ``np.bincount``, as ``np.add.at`` did.  A spec whose stated bytes
+    (:func:`_brute_force_bytes`) exceed ``linalg.MEMORY_BUDGET`` is refused first.
     """
     d = spec.depth
     m = spec.space.total_dim
     n = spec.space.oracle_dim
-    check_cost("brute force", m ** (d + 1), "paths", BRUTE_FORCE_GUARD)
+    check_cost("brute force", _brute_force_bytes(spec))
     oracle_of = spec.space.oracle_parts()
 
     def on_axis(vec, axis):  # a length-M vector laid along one axis of the path grid
@@ -478,12 +416,11 @@ def verify(spec: DecompositionSpec) -> dict:
     step = max(1, SLICE_BYTES // per_row)
     nnz = dim * m  # nonzeros of one factor: a row holds at most M
     # 16 KiB of fixed overhead (objects and small arrays) and the factors (20 B a nonzero)
-    # stay throughout; next to them peaks the brute force (at most 64 B a path, 32 B a
-    # bin), the bins with the empty-start rows and one slice, or one factor's block norms:
-    # ~150 B a nonzero, which also covers building a factor, and a dense block of up to
-    # 2M nodes (16 B an entry)
+    # stay throughout; next to them peaks the brute force, the bins with the empty-start
+    # rows and one slice, or one factor's block norms: ~150 B a nonzero, which also covers
+    # building a factor, and a dense block of up to 2M nodes (16 B an entry)
     check_cost("verify", (1 << 14) + 20 * d * nnz + max(
-        64 * m ** (d + 1) + 32 * m * cols,
+        _brute_force_bytes(spec),
         16 * m * (cols + dim) + min(step, rows) * per_row,
         150 * nnz + 64 * m * m))
     built = decompose_improved(spec)

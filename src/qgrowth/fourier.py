@@ -335,7 +335,9 @@ def hbqp_level3_block_tensor(spec: AlgorithmSpec, rho: Restriction) -> np.ndarra
     rho = spec.restriction(rho)
     m = spec.space.total_dim
     wk, size = m // n, m // 3  # positions per coordinate, per block
-    check_cost("level-3 block tensor", 64 * m * size**2)  # K and its GEMM operand, 2 M s^2 each
+    # traced: K and the GEMM scratch (2 M s^2 complex each), the product and the tensor
+    # come to about 80 M s^2; the M x M operands to at most 48 M^2; ufunc buffers 256 KiB
+    check_cost("level-3 block tensor", 80 * m * size**2 + 48 * m * m + (1 << 18))
     v1, v2, v3, v4, v5, v6 = spec.formula_matrices
     fixed = np.repeat(rho.pattern.astype(float), wk)[:, None]  # rho_j on fixed rows, 0 on free
     accept = spec.accept.astype(float)

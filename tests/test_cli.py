@@ -701,8 +701,6 @@ def test_benchmark_surface_exists():
 _UNCALLED_API = {
     "models.acceptance_hybrid": "the per-input oracle the tests hold hybrid tables to",
     "models.spec_to_json": "the spec writer README documents",
-    "decomposition.brute_force_entry": "the per-entry oracle the tests hold the tensor to",
-    "decomposition.AugmentedMatrix.entry": "one product entry, read by the tests",
     "forrelation.TraceCircuit.live_value": "the trace circuit's acceptance at one live input",
     "forrelation.TraceCircuit.trace_value": "the dense-product trace the tests compare with",
 }

@@ -12,11 +12,9 @@ from qgrowth.decomposition import (
     AugmentedMatrix,
     DecompositionSpec,
     _block_spectral_norm,
-    brute_force_entry,
     brute_force_tensor,
     decompose,
     decompose_improved,
-    parity_update,
     random_decomposition_spec,
     spectrum_via_decomposition,
     verify,
@@ -32,6 +30,8 @@ from qgrowth.linalg import (
 )
 from qgrowth.models import AlgorithmSpec, Model, Restriction, random_spec
 from qgrowth.fourier import spectrum_of_algorithm
+
+from oracles import brute_force_entry, entry, parity_update
 
 
 def _unitaries(m, count, seed0):
@@ -58,7 +58,7 @@ def test_depth_one_bakes_empty_parity():
         for j in range(4):
             for s in range(4):
                 want = mats[0][i, j] if s == 0 else 0.0
-                assert built.entry(i, 0, j, s) == pytest.approx(want, abs=1e-12)
+                assert entry(built, i, 0, j, s) == pytest.approx(want, abs=1e-12)
 
 
 def test_identity_chain_parity_echo():
@@ -69,7 +69,7 @@ def test_identity_chain_parity_echo():
         for j in range(4):
             for s in range(16):
                 want = 1.0 if (i == j and s == 1 << i) else 0.0
-                assert built.entry(i, 0, j, s) == pytest.approx(want, abs=1e-12)
+                assert entry(built, i, 0, j, s) == pytest.approx(want, abs=1e-12)
 
 
 def test_random_chain_matches_brute_force():
@@ -79,7 +79,7 @@ def test_random_chain_matches_brute_force():
     for i1 in range(4):
         for ie in range(4):
             for se in range(4):
-                got = built.entry(i1, 0, ie, se)
+                got = entry(built, i1, 0, ie, se)
                 want = brute_force_entry(spec, i1, ie, se)
                 worst = max(worst, abs(got - want))
     assert worst <= 1e-9
@@ -100,7 +100,7 @@ def test_memory_echo_with_identities():
     for i in range(2):
         for j in range(2):
             for digit in (1, 2):
-                got = built.entry(i, 0, j, 0, b_end=(digit,))
+                got = entry(built, i, 0, j, 0, b_end=(digit,))
                 want = 1.0 if (i == j and digit - 1 == i) else 0.0
                 assert got == pytest.approx(want, abs=1e-12)
 
@@ -114,7 +114,7 @@ def test_equality_pair_matches_brute_force():
     for i1 in range(4):
         for ie in range(4):
             for se in range(4):
-                got = built.entry(i1, 0, ie, se)
+                got = entry(built, i1, 0, ie, se)
                 want = brute_force_entry(spec, i1, ie, se)
                 worst = max(worst, abs(got - want))
     assert worst <= 1e-9
@@ -212,7 +212,7 @@ def test_verify_entry_gather_matches_entrywise_loop():
         worst = 0.0
         for i1, s1, ie, se in np.ndindex(m, span_s, m, span_s):
             for bf, digits in enumerate(np.ndindex((n,) * spec.q)):
-                got = built.entry(i1, s1, ie, se, b_end=tuple(x + 1 for x in digits))
+                got = entry(built, i1, s1, ie, se, b_end=tuple(x + 1 for x in digits))
                 worst = max(worst, abs(got - bins[i1, ie, s1 ^ se, bf]))
         assert verify(spec)["max_entry_deviation"] == worst
 
@@ -233,7 +233,7 @@ def test_brute_force_entry_closed_form_depth_two():
     for i in range(2):
         for e in range(2):
             for s in range(4):
-                assert built.entry(i, 0, e, s) == pytest.approx(
+                assert entry(built, i, 0, e, s) == pytest.approx(
                     brute_force_entry(spec, i, e, s), abs=1e-12
                 )
 
@@ -388,29 +388,37 @@ def test_sliced_verify_keeps_the_bits_of_the_whole_block_compare(monkeypatch):
     assert sum(len(sizes) >= 2 and max(sizes) > 1 for sizes in slices[5000]) >= 10
 
 
-@pytest.mark.parametrize("m, d", [(2, 16), (4, 8), (8, 5)])
+@pytest.mark.parametrize("m, d", [(2, 11), (2, 16), (4, 8), (8, 5), (4, 9)])
 def test_brute_force_tensor_takes_at_most_64_bytes_a_path(m, d):
-    # the flat-path gather took 297, 169 and 121 bytes a path at these shapes
+    # 4,096 to 1,048,576 paths; the flat-path gather took 297, 169 and 121 bytes a path at
+    # (2, 16), (4, 8) and (8, 5).  The stated bytes count every path as kept, so the
+    # unconstrained chain peaks near them (0.52-0.89 measured) and the constrained one,
+    # whose equality pair drops paths, below
     for extra in ({}, {"parity_skip": frozenset({3}), "equality_pairs": ((2, 4),),
                        "memory_positions": (5,)}):
         spec = DecompositionSpec(IndexSpace(m, 1, 1), _unitaries(m, d, 80), **extra)
-        tracemalloc.start()
-        try:
-            brute_force_tensor(spec)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 64 * m ** (d + 1)
+        stated = decomposition._brute_force_bytes(spec)
+        peak = _traced_peak(lambda: brute_force_tensor(spec))
+        assert peak <= 64 * m ** (d + 1) and peak <= 1.1 * stated
+        assert extra or 0.5 * stated <= peak
 
 
-def test_brute_force_guards_state_the_path_count():
+def test_brute_force_guard_states_its_bytes():
+    budget = linalg.MEMORY_BUDGET
+    # 16^8 paths at 64 bytes, 16^2 * 2 bins at 32
     spec = DecompositionSpec(IndexSpace(16, 1, 1), (np.eye(16),) * 7, tracked=1)
     with pytest.raises(ResourceLimitError,
-                       match=r"^brute force needs 4294967296 paths, guard is 10000000$"):
+                       match=rf"^brute force needs 274877923328 bytes, guard is {budget}$"):
         brute_force_tensor(spec)
-    with pytest.raises(ResourceLimitError,
-                       match=r"^brute force needs 16777216 paths, guard is 10000000$"):
-        brute_force_entry(spec, 0, 0, 0)
+    # 262,144 paths, under the old 10^7-path guard, but 64^2 * 2^16 bins take 4.3 GB
+    spec = DecompositionSpec(IndexSpace(64), (np.eye(64),) * 2, tracked=16)
+    match = rf"^brute force needs 8606711808 bytes, guard is {budget}$"
+    assert _refusal_peak(lambda: brute_force_tensor(spec), match) <= 1 << 20
+    # 4,096 paths and 16^2 * 2^8 bins: the bins dominate, and the peak stays near them
+    spec = DecompositionSpec(IndexSpace(16), _unitaries(16, 2, 85), tracked=8)
+    stated = decomposition._brute_force_bytes(spec)
+    assert stated == 64 * 16**3 + 32 * 16**2 * 2**8
+    assert 0.5 * stated <= _traced_peak(lambda: brute_force_tensor(spec)) <= 1.1 * stated
 
 
 def test_verify_identities_and_norm_precondition():
@@ -468,8 +476,8 @@ def test_reversal_symmetry():
     for i1 in range(m):
         for ie in range(m):
             for s in range(4):
-                assert fwd_built.entry(i1, 0, ie, s) == pytest.approx(
-                    rev_built.entry(ie, 0, i1, s), abs=1e-10
+                assert entry(fwd_built, i1, 0, ie, s) == pytest.approx(
+                    entry(rev_built, ie, 0, i1, s), abs=1e-10
                 )
 
 

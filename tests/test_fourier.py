@@ -468,34 +468,36 @@ def test_hbqp_block_tensor_matches_direct_sum(data, shape, seed):
 
 
 def test_hbqp_block_tensor_guard_states_its_bytes(monkeypatch):
-    # M = 6 and s = 2 positions a block: 64 M s^2 bytes
+    # M = 6 and s = 2 positions a block: 80 M s^2 + 48 M^2 + 256 KiB bytes
     spec = random_spec(Model.HALF_BQP, IndexSpace(6, 1, 1), 2, np.random.default_rng(54))
     free = Restriction.all_free(6)
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1535)
-    with pytest.raises(ResourceLimitError, match="needs 1536 bytes, guard is 1535"):
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 265791)
+    with pytest.raises(ResourceLimitError, match="needs 265792 bytes, guard is 265791"):
         hbqp_level3_block_tensor(spec, free)
     assert "formula_matrices" not in vars(spec)  # refused before any product
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1536)
+    monkeypatch.setattr(linalg, "MEMORY_BUDGET", 265792)
     assert hbqp_level3_block_tensor(spec, free).shape == (2, 2, 2)
 
 
 def test_hbqp_block_tensor_peak_is_near_the_bytes_its_guard_states(monkeypatch):
-    # block 32 at W = 1: M = 96 and s = 32
-    spec = random_spec(Model.HALF_BQP, IndexSpace(96, 1, 1), 2, np.random.default_rng(55))
-    free = Restriction.all_free(96)
-    spec.formula_matrices  # built outside the traced call
-    stated = 64 * 96 * 32**2
-    monkeypatch.setattr(linalg, "MEMORY_BUDGET", stated - 1)
-    with pytest.raises(ResourceLimitError, match=f"needs {stated} bytes"):
-        hbqp_level3_block_tensor(spec, free)
-    monkeypatch.undo()
-    tracemalloc.start()
-    try:
-        hbqp_level3_block_tensor(spec, free)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * stated
+    # blocks 16, 32 and 64 at W = 1: M = 3 s; 0.96, 0.97 and 0.99 of the stated bytes measured
+    for size in (16, 32, 64):
+        m = 3 * size
+        spec = random_spec(Model.HALF_BQP, IndexSpace(m, 1, 1), 2, np.random.default_rng(55))
+        free = Restriction.all_free(m)
+        spec.formula_matrices  # built outside the traced call
+        stated = 80 * m * size**2 + 48 * m * m + (1 << 18)
+        monkeypatch.setattr(linalg, "MEMORY_BUDGET", stated - 1)
+        with pytest.raises(ResourceLimitError, match=f"needs {stated} bytes"):
+            hbqp_level3_block_tensor(spec, free)
+        monkeypatch.undo()
+        tracemalloc.start()
+        try:
+            hbqp_level3_block_tensor(spec, free)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert 0.5 * stated <= peak <= 1.1 * stated
 
 
 def test_hbqp_block_tensor_validation():

@@ -222,7 +222,7 @@ def _direct_sum_site():
 
 
 def _block_tensor_site():
-    # M = 6 and s = 2 positions a block: 64 M s^2 bytes
+    # M = 6 and s = 2 positions a block: 80 M s^2 + 48 M^2 + 256 KiB bytes
     spec = random_spec(Model.HALF_BQP, IndexSpace(6), 2, np.random.default_rng(2))
     return lambda: fourier.hbqp_level3_block_tensor(spec, Restriction.all_free(6))
 
@@ -234,13 +234,8 @@ def _decompose_site():
 
 
 def _brute_tensor_site():
-    spec = _decomposition_spec()  # M^(d+1) paths
+    spec = _decomposition_spec()  # 64 bytes a path, 32 a bin: 64 * 2^3 + 32 * 2^2 * 2^2
     return lambda: decomposition.brute_force_tensor(spec)
-
-
-def _brute_entry_site():
-    spec = _decomposition_spec()  # M^(d-1) paths
-    return lambda: decomposition.brute_force_entry(spec, 0, 0, 0)
 
 
 def _row_push_site():
@@ -258,14 +253,11 @@ _COST_SITES = {
     "kernel-plan": (linalg, "MEMORY_BUDGET", 256, "kernel plan", "bytes", _kernel_plan_site),
     "direct-sum": (fourier, "DIRECT_SUM_GUARD", 4, "direct summation", "tuples",
                    _direct_sum_site),
-    "block-tensor": (linalg, "MEMORY_BUDGET", 1536, "level-3 block tensor", "bytes",
+    "block-tensor": (linalg, "MEMORY_BUDGET", 265792, "level-3 block tensor", "bytes",
                      _block_tensor_site),
     "augmented": (decomposition, "AUGMENTED_DIM_GUARD", 8, "augmented index", "states",
                   _decompose_site),
-    "brute-tensor": (decomposition, "BRUTE_FORCE_GUARD", 8, "brute force", "paths",
-                     _brute_tensor_site),
-    "brute-entry": (decomposition, "BRUTE_FORCE_GUARD", 2, "brute force", "paths",
-                    _brute_entry_site),
+    "brute-tensor": (linalg, "MEMORY_BUDGET", 1024, "brute force", "bytes", _brute_tensor_site),
     "factor-build": (linalg, "MEMORY_BUDGET", 1280, "factor build", "bytes", _decompose_site),
     "row-push": (linalg, "MEMORY_BUDGET", 1984, "row push", "bytes", _row_push_site),
     # 16 KiB of fixed overhead, two factors of 16 nonzeros (20 B each), then one slice of
@@ -288,12 +280,30 @@ def test_every_guard_admits_its_need_and_refuses_one_more(site, monkeypatch):
 
 def test_one_memory_budget_moves_every_byte_guard(monkeypatch):
     monkeypatch.setattr(linalg, "MEMORY_BUDGET", 255)
-    for site in ("kernel-plan", "block-tensor", "factor-build"):
+    for site in ("kernel-plan", "block-tensor", "factor-build", "brute-tensor"):
         with pytest.raises(ResourceLimitError, match=r"bytes, guard is 255$"):
             _COST_SITES[site][-1]()()
     monkeypatch.setattr(linalg, "MEMORY_BUDGET", 1983)
     with pytest.raises(ResourceLimitError, match=r"^row push needs 1984 bytes, guard is 1983$"):
         _row_push_site()()
+
+
+def test_every_cost_check_states_bytes_but_the_two_documented_counts():
+    # a count guard beside a byte price can admit what the bytes refuse (a path count let
+    # 4.3 GB of brute-force bins through), so only the two count caps README names remain
+    units = {}
+    for path in sorted((Path(__file__).parents[1] / "src" / "qgrowth").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            func = node.func if isinstance(node, ast.Call) else None
+            if getattr(func, "id", getattr(func, "attr", None)) == "check_cost":
+                unit = node.args[2] if len(node.args) > 2 else next(
+                    (k.value for k in node.keywords if k.arg == "unit"), ast.Constant("bytes"))
+                units[ast.literal_eval(node.args[0])] = ast.literal_eval(unit)
+    assert units == {
+        "kernel plan": "bytes", "level-3 block tensor": "bytes", "factor build": "bytes",
+        "row push": "bytes", "brute force": "bytes", "verify": "bytes",
+        "augmented index": "states", "direct summation": "tuples",
+    }
 
 
 def test_resource_limit_error_is_raised_only_by_the_checks_and_the_forrelation_caps():
