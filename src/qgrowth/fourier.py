@@ -16,13 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import IMAG_TOL, MAX_QUBITS, check_cost, check_table_size, f2_inner
+from .linalg import IMAG_TOL, MAX_QUBITS, SLICE_BYTES, check_cost, check_table_size, f2_inner
 from .models import AlgorithmSpec, Model, Restriction, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
 DIRECT_SUM_GUARD = 10**7
-#: Most index tuples one direct-summation block spans.
-_DIRECT_BLOCK = 1 << 16
 #: Rounding slack on the |gamma_i| <= 1 bound of the structured sign families.
 GAMMA_SLACK = 1e-12
 
@@ -247,11 +245,11 @@ def direct_restricted_spectrum(
     A tuple's bin depends only on its path of oracle coordinates, so each V_t
     (and F) is viewed as an (N, P, N, P) tensor over (coordinate, position)
     pairs, P = W*K, and one ``np.einsum`` around the ring sums the positions
-    out of every coordinate path.  Slices of at most 2^16 paths fix a prefix
-    of leading coordinates; the greedy contraction order, found once, keeps
-    every intermediate within 2^16 entries.  A slice's parity masks are an
-    XOR broadcast of per-slot bits, and two ``np.bincount`` calls (real and
-    imaginary parts) add it into the bins."""
+    out of every coordinate path.  Slices of at most ``linalg.SLICE_BYTES`` / 16
+    (2^16) paths fix a prefix of leading coordinates; the greedy contraction
+    order, found once, keeps every intermediate within as many entries.  A
+    slice's parity masks are an XOR broadcast of per-slot bits, and two
+    ``np.bincount`` calls (real and imaginary parts) add it into the bins."""
     vs, free_count, skip, old_of_new = spec.restricted_chain(rho)
     m, n, count = spec.space.total_dim, spec.space.oracle_dim, len(vs)
     check_cost("direct summation", m**count, "tuples", DIRECT_SUM_GUARD)
@@ -260,8 +258,8 @@ def direct_restricted_spectrum(
     bit[free_count:] = 0
     slot_bits = [np.zeros(n, dtype=np.int64) if t in skip else bit for t in range(count)]
     # coordinates of slots before `prefix` are fixed per slice, the rest are its axes
-    prefix = 0
-    while n ** (count - prefix) > _DIRECT_BLOCK:
+    block_entries, prefix = SLICE_BYTES // 16, 0  # complex entries of one slice
+    while n ** (count - prefix) > block_entries:
         prefix += 1
     masks = np.zeros((), dtype=np.int64)
     for t in range(prefix, count):
@@ -282,7 +280,7 @@ def direct_restricted_spectrum(
     for path in np.ndindex((n,) * prefix):
         at = list(path) + [slice(None)] * (count - prefix)
         operands = [mat[at[a], :, at[b]] for mat, a, b in ring]
-        plan = plan or np.einsum_path(subscripts, *operands, optimize=("greedy", _DIRECT_BLOCK))[0]
+        plan = plan or np.einsum_path(subscripts, *operands, optimize=("greedy", block_entries))[0]
         w = np.einsum(subscripts, *operands, optimize=plan).reshape(-1)
         block = masks ^ np.bitwise_xor.reduce([0] + [slot_bits[t][c] for t, c in enumerate(path)])
         bins.real += np.bincount(block, w.real, minlength=bins.size)

@@ -352,7 +352,6 @@ def truth_table(
     spec: AlgorithmSpec,
     rho: Optional[Restriction] = None,
     workers: int = 1,
-    chunk: Optional[int] = None,
 ) -> np.ndarray:
     """Acceptance probability on every input consistent with ``rho``.
 
@@ -362,17 +361,14 @@ def truth_table(
     simulated: mask 2^F-1-m is -x of mask m, and f(-x) = f(x) because x -> -x
     multiplies every final state by (-1)^d.  The swept inputs are built once,
     as int8 rows (2^F' x N bytes for F' swept bits), and sharded into chunks of
-    ``chunk`` rows, each converted to float.  The default is the largest power
-    of two in [4, 1024] with chunk * S * M <= 2^16, for S start states and
-    register dimension M, so a worker's (chunk, S, M) complex slab stays
-    within 1 MiB while S * M <= 2^14.  The kernel plan, with its guard, is
-    read before the inputs are built.  With ``workers > 1`` the chunks run on
+    B rows, each converted to float: B is the largest power of two in [4, 1024]
+    with B * S * M * 16 <= ``linalg.SLICE_BYTES``, for S start states and
+    register dimension M, so a worker's (B, S, M) complex slab stays within
+    1 MiB while S * M <= 2^14.  The kernel plan, with its guard, is read before
+    the inputs are built.  With ``workers > 1`` the chunks run on
     w = min(workers, chunk count, CPU count) threads and are reassembled in
     index order, so results do not depend on the worker count.  Each of the
-    w pool threads gets one task that runs every w-th chunk.  The bits do not
-    depend on ``chunk`` either as long as it is a multiple of 4: BLAS rounds
-    the rows of a ragged block differently, so other chunks may move entries
-    in the last place.
+    w pool threads gets one task that runs every w-th chunk.
     """
     n = spec.num_inputs
     rho = spec.restriction(rho)
@@ -381,8 +377,7 @@ def truth_table(
     size = 1 << free
     swept = size // 2 if 0 < free == n else size
     per_row = spec._kernel_plan[2] * spec.space.total_dim  # S * M slab entries per input
-    if chunk is None:
-        chunk = 1 << min(10, max(2, (SLICE_BYTES // 16 // per_row).bit_length() - 1))
+    chunk = 1 << min(10, max(2, (SLICE_BYTES // 16 // per_row).bit_length() - 1))
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, swept)) for lo in range(0, swept, chunk)]
     rows = np.tile(np.where(rho.pattern == 0, 1, rho.pattern).astype(np.int8), (swept, 1))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgrowth import bounds, cli, fourier, models
+from qgrowth import bounds, cli, decomposition, fourier, models
 from qgrowth.cli import main
 from qgrowth.linalg import hadamard_matrix
 from qgrowth.models import Model, spec_to_json, AlgorithmSpec
@@ -62,6 +62,57 @@ def test_verify_decomposition_output_is_reproducible(tmp_path):
                      "--out", str(out)]) == 0
     assert json.loads(outs[0].read_text())["reports"][0]["augmented_dim"] == 3200
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+def _scale_every_factor(by):
+    def plant(factors):
+        for factor in factors:
+            factor.data *= by
+    return plant
+
+
+def _nudge_first_entry(factors):
+    factors[0].data[0] += 1e-7
+
+
+@pytest.mark.parametrize("plant, flags, code", [
+    (_scale_every_factor(1 + 1e-7), (False, False, False), 1),
+    (_scale_every_factor(1 + 1e-10), (True, True, True), 0),
+    # the norm reads 1 + 5.2e-8, the Frobenius ratio moves by 4e-10, within leq_tol
+    (_nudge_first_entry, (False, False, True), 1),
+], ids=["every-factor-1e-7", "every-factor-1e-10", "first-entry-1e-7"])
+def test_verify_decomposition_rejects_a_planted_defect(plant, flags, code, tmp_path,
+                                                       monkeypatch):
+    # seed 1 draws dim 128, depth 2, whose product Frobenius norm equals the input
+    # bound: each guarantee is tight, so a defect of 1e-7 must flip its verdict
+    real = decomposition.decompose_improved
+
+    def planted(spec):
+        built = real(spec)
+        plant(built.factors)
+        return built
+
+    monkeypatch.setattr(decomposition, "decompose_improved", planted)
+    out = tmp_path / "verify.json"
+    assert main(["verify-decomposition", "--trials", "1", "--seed", "1",
+                 "--out", str(out)]) == code
+    report = json.loads(out.read_text())["reports"][0]
+    assert (report["augmented_dim"], report["depth"]) == (128, 2)
+    assert (report["entries_pass"], report["factor_norm_pass"],
+            report["frobenius_pass"]) == flags
+
+
+def test_growth_past_its_ceiling_reads_violation(tmp_path, monkeypatch):
+    # an observed growth of ceiling * (1 + 1e-7), 100 times leq_tol's relative slack;
+    # --n 2 qubits index N = 4 oracle coordinates
+    ceilings = {level: bounds.dqck_growth_ceiling(4, 1, 2, level) for level in (2, 3)}
+    monkeypatch.setattr(fourier, "growth", lambda sp, level: ceilings[level] * (1 + 1e-7))
+    out = tmp_path / "growth.csv"
+    assert main(["growth", "--model", "dqck", "--n", "2", "--k", "1", "--d", "2",
+                 "--levels", "2,3", "--trials", "1", "--workers", "1",
+                 "--out", str(out)]) == 1
+    rows = out.read_text().strip().splitlines()[2:]
+    assert len(rows) == 2 and all(row.endswith(",VIOLATION") for row in rows)
 
 
 @pytest.mark.parametrize("prob", ["1.7", "-0.1", "nan"])
@@ -574,7 +625,7 @@ import json, sys
 import numpy as np
 from qgrowth import bounds, cli, decomposition, forrelation, fourier, models
 cold = sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
-spec = decomposition.random_decomposition_spec(np.random.default_rng(5), max_aug_dim=64)
+spec = decomposition.random_decomposition_spec(np.random.default_rng(5))
 report = decomposition.verify(spec)
 print(json.dumps({"cold": cold, "pass": report["pass"], "sparse": "scipy.sparse" in sys.modules}))
 """
@@ -737,6 +788,59 @@ def test_every_public_name_has_a_caller_or_a_stated_reason():
                 for used, node, is_attr in uses):
             uncalled.add(key)
     assert uncalled == set(_UNCALLED_API)
+
+
+#: Parameters with a default that no call in src/qgrowth or perfbench passes, with reasons.
+_UNPASSED_OPTIONS = {}
+
+
+def test_every_option_is_passed_by_a_caller_or_has_a_stated_reason():
+    # an option: a parameter with a default on a public function or method of src/qgrowth
+    # that has a caller (_UNCALLED_API states why the others stay); passed: a call in
+    # src/qgrowth or perfbench to that name, or forwarding to it (perfbench's
+    # tr.call(label, fn, *args)), that names the parameter or reaches its position (a ** or
+    # * argument reaches every one).  An option only tests set is a path no command runs
+    defs = []  # (public key, function, leading parameters a call does not pass)
+    for path in sorted(ROOT.glob("src/qgrowth/*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.FunctionDef) and node.name[0] != "_":
+                defs.append((f"{path.stem}.{node.name}", node, 0))
+            elif isinstance(node, ast.ClassDef) and node.name[0] != "_":
+                defs += [(f"{path.stem}.{node.name}.{item.name}", item, 1)  # self or cls
+                         for item in node.body
+                         if isinstance(item, ast.FunctionDef) and item.name[0] != "_"]
+    options = []  # (callee name, public key, parameter, position or None)
+    for key, func, bound in defs:
+        if key not in _UNCALLED_API:
+            positional = (func.args.posonlyargs + func.args.args)[bound:]
+            first = len(positional) - len(func.args.defaults)
+            options += [(func.name, key, arg.arg, i)
+                        for i, arg in enumerate(positional) if i >= first]
+            options += [(func.name, key, arg.arg, None) for arg, default in
+                        zip(func.args.kwonlyargs, func.args.kw_defaults) if default is not None]
+    calls = [node for path in [*ROOT.glob("src/qgrowth/*.py"), *ROOT.glob("perfbench/*.py")]
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call)]
+
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None))
+
+    def passes(call, name, param, position):
+        if named(call.func) == name:
+            args = call.args
+        elif name in map(named, call.args):  # forwarded: the arguments after the function
+            args = call.args[list(map(named, call.args)).index(name) + 1:]
+        else:
+            return False
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        return position is not None and (
+            len(args) > position or any(isinstance(a, ast.Starred) for a in args))
+
+    assert ("truth_table", "models.truth_table", "workers", 2) in options
+    unpassed = {f"{key}({param})" for name, key, param, position in options
+                if not any(passes(call, name, param, position) for call in calls)}
+    assert unpassed == set(_UNPASSED_OPTIONS)
 
 
 def test_spectrum_command_requires_spec():

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -32,6 +36,8 @@ from qgrowth.models import AlgorithmSpec, Model, Restriction, random_spec
 from qgrowth.fourier import spectrum_of_algorithm
 
 from oracles import brute_force_entry, entry, parity_update
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unitaries(m, count, seed0):
@@ -120,10 +126,14 @@ def test_equality_pair_matches_brute_force():
     assert worst <= 1e-9
 
 
-def test_random_spec_refuses_a_dimension_no_draw_fits():
-    # the smallest draw has augmented dimension 2, so the redraw loop would never end
-    with pytest.raises(ValueError, match="max_aug_dim must be >= 2, got 1"):
-        random_decomposition_spec(np.random.default_rng(0), max_aug_dim=1)
+def _draw_under(rng, max_dim):
+    """A ``random_decomposition_spec`` draw, redrawn until its augmented dimension is at
+    most ``max_dim``, for the tests that run dense or per-entry references on it."""
+    while True:
+        spec = random_decomposition_spec(rng)
+        if AugmentedIndexer(spec.space.total_dim, spec.tracked, spec.p, spec.q,
+                            spec.space.oracle_dim + 1).dim <= max_dim:
+            return spec
 
 
 def test_memory_and_equality_random_sweep():
@@ -155,7 +165,7 @@ def _built(spec):
 
 def test_block_factor_norms_match_dense_svd():
     rng = np.random.default_rng(31)
-    specs = [random_decomposition_spec(rng, max_aug_dim=512) for _ in range(30)]
+    specs = [_draw_under(rng, 512) for _ in range(30)]
     mats = _unitaries(4, 3, 32)
     specs.append(DecompositionSpec(
         IndexSpace(2, 2, 1), (mats[0], np.zeros((4, 4)), mats[2]), tracked=2))
@@ -203,8 +213,7 @@ def test_block_norm_joins_a_long_permuted_chain():
 def test_verify_entry_gather_matches_entrywise_loop():
     # the per-entry reference that verify()'s column gather replaces
     rng = np.random.default_rng(33)
-    specs = [s for s in (random_decomposition_spec(rng, max_aug_dim=128) for _ in range(40))
-             if s.q and s.tracked][:3]
+    specs = [s for s in (_draw_under(rng, 128) for _ in range(40)) if s.q and s.tracked][:3]
     assert len(specs) == 3
     for spec in specs:
         built, bins = _built(spec), brute_force_tensor(spec)
@@ -623,13 +632,13 @@ def test_row_push_peak_is_near_the_bytes_its_guard_states(tracked):
 
 def _verify_stated(tracked):
     # M = 8, depth 2, no registers: dim = 8 * 2^tracked start rows, compared columns and
-    # factor rows, 8 * dim nonzeros a factor.  16 KiB of fixed overhead and two factors
+    # factor rows, 8 * dim nonzeros a factor.  128 KiB of fixed overhead and two factors
     # (20 B a nonzero) stay; next to them peaks either a 1 MiB slice with the bins and the
     # empty-start rows (16 * 8 * dim bytes each), or one factor's block norms (150 B a
     # nonzero, a 16-node dense block); the brute force (64 B x 512 paths, 32 B x 8 * dim
     # bins) stays below the first
     dim = 8 << tracked
-    return ((1 << 14) + 20 * 2 * 8 * dim
+    return ((1 << 17) + 20 * 2 * 8 * dim
             + max(16 * 8 * 2 * dim + (1 << 20), 150 * 8 * dim + 64 * 8 * 8))
 
 
@@ -642,7 +651,7 @@ def test_verify_peak_is_near_the_bytes_its_guard_states(tracked):
         # guard stated 2.29 MB here, and the call peaked at 3.06 MB
         spec = random_decomposition_spec(np.random.default_rng(287))
         assert (decompose_improved(spec).indexer.dim, spec.depth, spec.p, spec.q) == (1600, 4, 1, 1)
-        stated = (1 << 14) + 20 * 4 * 12800 + 64 * 8**5 + 32 * 8 * 256
+        stated = (1 << 17) + 20 * 4 * 12800 + 64 * 8**5 + 32 * 8 * 256
     else:
         spec = DecompositionSpec(IndexSpace(8), _unitaries(8, 2, 130), tracked=tracked)
         stated = _verify_stated(tracked)
@@ -658,6 +667,33 @@ def test_verify_certifies_under_a_budget_the_whole_block_compare_exceeds(monkeyp
     reports = []
     peak = _traced_peak(lambda: reports.append(verify(spec)))
     assert reports[0]["pass"] and peak <= stated
+
+
+_COLD_BUDGET_RUN = """
+import json, sys, tracemalloc
+import scipy.sparse
+from qgrowth import decomposition, linalg
+from qgrowth.decomposition import DecompositionSpec
+from qgrowth.linalg import IndexSpace, random_unitary
+linalg.MEMORY_BUDGET = int(sys.argv[1])
+spec = DecompositionSpec(IndexSpace(8), tuple(random_unitary(8, 130 + t) for t in range(2)),
+                         tracked=8)
+tracemalloc.start()
+report = decomposition.verify(spec)
+print(json.dumps({"pass": report["pass"], "peak": tracemalloc.get_traced_memory()[1]}))
+"""
+
+
+def test_verify_certifies_under_its_budget_in_a_cold_process():
+    # the first call in a process fills numpy's and scipy's caches: the fixed term must
+    # cover them, or the budget case above passes only after other tests warmed them
+    stated = _verify_stated(8)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _COLD_BUDGET_RUN, str(stated)],
+                          capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
+                          check=True)
+    report = json.loads(done.stdout)
+    assert report["pass"] and report["peak"] <= stated
 
 
 def test_verify_refuses_its_compare_before_any_factor(monkeypatch):

@@ -260,10 +260,10 @@ _COST_SITES = {
     "brute-tensor": (linalg, "MEMORY_BUDGET", 1024, "brute force", "bytes", _brute_tensor_site),
     "factor-build": (linalg, "MEMORY_BUDGET", 1280, "factor build", "bytes", _decompose_site),
     "row-push": (linalg, "MEMORY_BUDGET", 1984, "row push", "bytes", _row_push_site),
-    # 16 KiB of fixed overhead, two factors of 16 nonzeros (20 B each), then one slice of
+    # 128 KiB of fixed overhead, two factors of 16 nonzeros (20 B each), then one slice of
     # the 8 start rows of dimension 8 and 8 compared columns, next to the bins and the
-    # empty-start rows: 16384 + 20 * 2 * 16 + 8 * (16 * 8 + 48 * 8) + 16 * 2 * (8 + 8)
-    "verify": (linalg, "MEMORY_BUDGET", 21632, "verify", "bytes", _verify_site),
+    # empty-start rows: 131072 + 20 * 2 * 16 + 8 * (16 * 8 + 48 * 8) + 16 * 2 * (8 + 8)
+    "verify": (linalg, "MEMORY_BUDGET", 136320, "verify", "bytes", _verify_site),
 }
 
 

@@ -1,12 +1,14 @@
 import json
 import os
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qgrowth import models
 from qgrowth.errors import ResourceLimitError
 from qgrowth.forrelation import tightness_circuit
 from qgrowth.fourier import spectrum_of_algorithm
@@ -285,12 +287,19 @@ def test_half_bqp_table_is_mean_of_per_start_bqp_tables(n, w, d, seed):
     assert np.max(np.abs(truth_table(spec) - np.mean(runs, axis=0))) <= 1e-12
 
 
-def test_truth_table_worker_determinism():
+def _slice_bytes(spec, rows):
+    """A ``models.SLICE_BYTES`` that holds ``rows`` inputs' (S, M) complex slabs: the
+    table's chunk is then ``rows`` rounded down to a power of two in [4, 1024]."""
+    return 16 * rows * spec.start_indices().size * spec.space.total_dim
+
+
+def test_truth_table_worker_determinism(monkeypatch):
     rng = np.random.default_rng(14)
     space = IndexSpace.qubits(2, 0, 1)
     spec = random_spec(Model.DQCK, space, 2, rng)
-    one = truth_table(spec, workers=1, chunk=3)
-    many = truth_table(spec, workers=4, chunk=3)
+    monkeypatch.setattr(models, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
+    one = truth_table(spec, workers=1)
+    many = truth_table(spec, workers=4)
     assert np.array_equal(one, many)
 
 
@@ -301,16 +310,17 @@ def test_truth_table_worker_determinism():
     w=st.integers(0, 1),
     n=st.integers(1, 3),
     star_prob=st.floats(0, 1),
-    chunk=st.one_of(st.sampled_from([1, 2, 4, 16, 64]), st.integers(1, 300)),
+    rows=st.integers(1, 300),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_truth_table_matches_formula_on_every_entry(model, d, w, n, star_prob, chunk, seed):
-    # chunk sizes that divide the table (powers of two) and that do not
+def test_truth_table_matches_formula_on_every_entry(model, d, w, n, star_prob, rows, seed):
+    # chunks that split the sweep, that cover it, and a last chunk that is ragged
     rng = np.random.default_rng(seed)
     space = IndexSpace.qubits(n, w, 1 if model is Model.DQCK else 0)
     spec = random_spec(model, space, d, rng)
     rho = random_restriction(space.oracle_dim, rng, star_prob=star_prob)
-    table = truth_table(spec, rho, chunk=chunk)
+    with mock.patch.object(models, "SLICE_BYTES", _slice_bytes(spec, rows)):
+        table = truth_table(spec, rho)
     free = rho.free_indices
     assert table.shape == (1 << free.size,)
     for mask, got in enumerate(table):
@@ -349,10 +359,11 @@ def test_truth_table_starts_at_most_one_thread_per_chunk(monkeypatch):
 
     monkeypatch.setattr(models_module, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the chunk count is the binding cap
+    monkeypatch.setattr(models, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 1, np.random.default_rng(3))
-    one = truth_table(spec, workers=1, chunk=3)
-    assert np.array_equal(truth_table(spec, workers=64, chunk=3), one)
-    assert sizes == [3]      # 8 of the 16 inputs simulated, in chunks of 3
+    one = truth_table(spec, workers=1)
+    assert np.array_equal(truth_table(spec, workers=64), one)
+    assert sizes == [2]      # 8 of the 16 inputs simulated, in chunks of 4
 
 
 def test_truth_table_starts_at_most_one_thread_per_cpu(monkeypatch):
@@ -481,14 +492,17 @@ def test_default_chunks_are_powers_of_two_and_multiples_of_4(model, monkeypatch)
 # one query at N = 16 keeps its 2^15-input sweeps in chunks of 4 under a second
 @pytest.mark.parametrize("n, d", [(3, 2), (4, 1)])
 @pytest.mark.parametrize("model", list(Model))
-def test_table_bits_hold_at_every_chunk_that_is_a_multiple_of_4(model, n, d, restricted):
+def test_table_bits_hold_at_every_chunk_that_is_a_multiple_of_4(model, n, d, restricted,
+                                                                monkeypatch):
+    # every chunk the slab rule picks is a power of two of at least 4 rows
     rng = np.random.default_rng(60 + n)
     spec = random_spec(model, _space(model, n), d, rng)
     rho = random_restriction(spec.num_inputs, rng) if restricted else None
     want = truth_table(spec, rho)
-    for chunk in (4, 8, 12, 64, 256, None):
+    for rows in (4, 8, 64, 256, 1024):
+        monkeypatch.setattr(models, "SLICE_BYTES", _slice_bytes(spec, rows))
         for workers in (1, 2):
-            assert np.array_equal(truth_table(spec, rho, workers=workers, chunk=chunk), want)
+            assert np.array_equal(truth_table(spec, rho, workers=workers), want)
 
 
 def _space(model, n=3):
@@ -507,13 +521,13 @@ def _mask_inputs(masks, rho):
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("d", [1, 2, 3])
 @pytest.mark.parametrize("model", list(Model))
-def test_unrestricted_table_equals_a_sweep_of_every_input(model, d, workers):
-    # the mirrored half is bit for bit what simulating -x gives; the chunk is a
-    # power of two because BLAS rounds the rows of a ragged block differently
+def test_unrestricted_table_equals_a_sweep_of_every_input(model, d, workers, monkeypatch):
+    # the mirrored half is bit for bit what simulating -x gives, in chunks of 16 rows
     spec = random_spec(model, _space(model), d, np.random.default_rng(40 + d))
     n = spec.num_inputs
     every = _table_chunk(spec, _mask_inputs(np.arange(1 << n), Restriction.all_free(n)))
-    assert np.array_equal(truth_table(spec, workers=workers, chunk=16), every)
+    monkeypatch.setattr(models, "SLICE_BYTES", _slice_bytes(spec, 16))
+    assert np.array_equal(truth_table(spec, workers=workers), every)
 
 
 @pytest.mark.parametrize("pattern", [
@@ -521,7 +535,8 @@ def test_unrestricted_table_equals_a_sweep_of_every_input(model, d, workers):
 ], ids=lambda p: f"{p}")
 @pytest.mark.parametrize("chunk", [3, 64])
 def test_table_inputs_match_per_mask_decoding(pattern, chunk, monkeypatch):
-    # F = 0..4 free coordinates: fixed coordinates first, last and in the middle
+    # F = 0..4 free coordinates: fixed coordinates first, last and in the middle; slices
+    # of 3 rows' slabs give chunks of 4, which split every sweep of more than 4 inputs
     import qgrowth.models as models_module
 
     fed = []
@@ -534,9 +549,11 @@ def test_table_inputs_match_per_mask_decoding(pattern, chunk, monkeypatch):
     monkeypatch.setattr(models_module, "_table_chunk", recording_chunk)
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 2, np.random.default_rng(9))
     rho = Restriction.all_free(4) if pattern is None else Restriction.from_string(pattern)
-    table = truth_table(spec, None if pattern is None else rho, chunk=chunk)
+    monkeypatch.setattr(models, "SLICE_BYTES", _slice_bytes(spec, chunk))
+    table = truth_table(spec, None if pattern is None else rho)
     swept = table.size // 2 if rho.fixed_indices.size == 0 else table.size
     assert all(x.dtype == float and x.flags.c_contiguous for x in fed)
+    assert len(fed) == -(-swept // max(4, chunk))
     assert np.array_equal(np.concatenate(fed), _mask_inputs(np.arange(swept), rho))
 
 
@@ -556,7 +573,8 @@ def test_only_an_unrestricted_table_simulates_half_the_cube(pattern, rows, monke
     monkeypatch.setattr(models_module, "_table_chunk", counting_chunk)
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 2, np.random.default_rng(5))
     rho = None if pattern is None else Restriction.from_string(pattern)
-    table = truth_table(spec, rho, chunk=3)
+    monkeypatch.setattr(models, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
+    table = truth_table(spec, rho)
     assert sum(simulated) == rows
     assert table.size == (16 if pattern is None else 1 << pattern.count("*"))
 
