@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .linalg import IMAG_TOL, MAX_QUBITS, SLICE_BYTES, check_cost, check_table_size, f2_inner
+from . import linalg
+from .linalg import IMAG_TOL, MAX_QUBITS, check_cost, check_table_size, f2_inner
 from .models import AlgorithmSpec, Model, Restriction, truth_table
 
 #: Feasibility guard for the direct-summation coefficient oracles.
@@ -258,7 +259,7 @@ def direct_restricted_spectrum(
     bit[free_count:] = 0
     slot_bits = [np.zeros(n, dtype=np.int64) if t in skip else bit for t in range(count)]
     # coordinates of slots before `prefix` are fixed per slice, the rest are its axes
-    block_entries, prefix = SLICE_BYTES // 16, 0  # complex entries of one slice
+    block_entries, prefix = max(1, linalg.SLICE_BYTES // 16), 0  # complex entries a slice
     while n ** (count - prefix) > block_entries:
         prefix += 1
     masks = np.zeros((), dtype=np.int64)

@@ -29,8 +29,8 @@ MAX_REGISTER_DIM = 1 << 12
 #: Bytes any one guarded allocation may take; :func:`check_cost` reads it at each call.
 MEMORY_BUDGET = 1 << 30
 
-#: Working set of one slice of a sliced loop: the kernel plan's fold, a truth-table
-#: chunk's complex slab and ``decomposition.verify``'s start rows.
+#: Working set of one slice of every sliced loop, read at each call: the kernel plan's
+#: fold, a truth-table chunk's slab, a direct-sum slice and ``verify``'s start rows.
 SLICE_BYTES = 1 << 20
 
 #: Relative and absolute slack of :func:`leq_tol`.

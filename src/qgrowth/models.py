@@ -47,9 +47,9 @@ from typing import NamedTuple, Optional, Union
 
 import numpy as np
 
+from . import linalg
 from .linalg import (
     IMAG_TOL,
-    SLICE_BYTES,
     IndexSpace,
     check_cost,
     check_table_size,
@@ -207,7 +207,7 @@ class AlgorithmSpec:
         second = second.reshape(-1, n, m // n).transpose(1, 0, 2)
         first = self.unitaries[0][:, starts].reshape(n, m // n, -1)
         fold = np.empty((n, starts.size, kept), dtype=complex)
-        step = max(1, SLICE_BYTES // max(1, need // n))  # slices, not a second whole fold
+        step = max(1, linalg.SLICE_BYTES // max(1, need // n))  # slices, not a second whole fold
         for lo in range(0, n, step):
             fold[lo:lo + step] = (second[lo:lo + step] @ first[lo:lo + step]).transpose(0, 2, 1)
         accept = self.accept.reshape(-1).astype(float) if self.model is Model.HALF_BQP else None
@@ -377,7 +377,7 @@ def truth_table(
     size = 1 << free
     swept = size // 2 if 0 < free == n else size
     per_row = spec._kernel_plan[2] * spec.space.total_dim  # S * M slab entries per input
-    chunk = 1 << min(10, max(2, (SLICE_BYTES // 16 // per_row).bit_length() - 1))
+    chunk = 1 << min(10, max(2, (linalg.SLICE_BYTES // 16 // per_row).bit_length() - 1))
     out = np.empty(size, dtype=float)
     chunks = [(lo, min(lo + chunk, swept)) for lo in range(0, swept, chunk)]
     rows = np.tile(np.where(rho.pattern == 0, 1, rho.pattern).astype(np.int8), (swept, 1))

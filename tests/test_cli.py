@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from qgrowth import bounds, cli, decomposition, fourier, models
+from qgrowth import bounds, cli, decomposition, forrelation, fourier, models
 from qgrowth.cli import main
 from qgrowth.linalg import hadamard_matrix
 from qgrowth.models import Model, spec_to_json, AlgorithmSpec
@@ -115,6 +115,70 @@ def test_growth_past_its_ceiling_reads_violation(tmp_path, monkeypatch):
     assert len(rows) == 2 and all(row.endswith(",VIOLATION") for row in rows)
 
 
+def test_hybrid_growth_past_its_ceiling_reads_violation(tmp_path, monkeypatch):
+    ceilings = {level: bounds.hybrid_dqck_growth_ceiling(4, 1, 2, level) for level in (2, 3)}
+    monkeypatch.setattr(fourier, "growth", lambda sp, level: ceilings[level] * (1 + 1e-7))
+    out = tmp_path / "hybrid.csv"
+    assert main(["hybrid-growth", "--n", "2", "--k", "1", "--d", "2", "--levels", "2,3",
+                 "--trials", "1", "--workers", "1", "--out", str(out)]) == 1
+    rows = out.read_text().strip().splitlines()[2:]
+    assert len(rows) == 2 and all(row.endswith(",VIOLATION") for row in rows)
+
+
+def test_forrelation_past_one_reads_violation(tmp_path, monkeypatch):
+    # 1 + 1e-7 is 10^5 times ZERO_TOL past the bound |forr| <= 1
+    argv = ["forrelation", "--k", "2", "--n", "3", "--trials", "2", "--seed", "3", "--out"]
+    assert main(argv + [str(tmp_path / "real.csv")]) == 0
+    monkeypatch.setattr(forrelation, "forr", lambda inst: 1 + 1e-7)
+    out = tmp_path / "planted.csv"
+    assert main(argv + [str(out)]) == 1
+    rows = out.read_text().strip().splitlines()[2:]
+    assert len(rows) == 2 and all(float(row.split(",")[2]) == 1 + 1e-7 for row in rows)
+
+
+def test_reduce_with_one_reduced_entry_moved_fails(tmp_path, monkeypatch, capsys):
+    # the second table is the reduced algorithm's; its bias entry 0 moves by 2e-7
+    real, calls = cli.truth_table, []
+
+    def planted(spec, workers=1):
+        table = real(spec, workers=workers)
+        calls.append(spec)
+        if len(calls) == 2:
+            table[0] += 1e-7
+        return table
+
+    monkeypatch.setattr(cli, "truth_table", planted)
+    out = tmp_path / "reduce.json"
+    assert main(["reduce", "--n", "2", "--k", "2", "--t", "1", "--d", "2", "--seed", "4",
+                 "--workers", "1", "--out", str(out)]) == 1
+    assert len(calls) == 2
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False and doc["max_pointwise_deviation"] > 1e-7
+    assert "FAIL" in capsys.readouterr().err
+
+
+# A regression pin of the three ceilings, each at points on both sides of its
+# min(2^(k/2), sqrt N) where it has one: it repeats the docstring formulas, so it is no
+# independent evidence of their values, only of their not moving.
+_PINNED_CEILINGS = [
+    (bounds.dqck_growth_ceiling, (16, 1, 2, 2), 8.485281374238571),
+    (bounds.dqck_growth_ceiling, (64, 3, 3, 4), 2715.2900397563426),
+    (bounds.dqck_growth_ceiling, (1024, 12, 4, 5), 58720256.0),
+    (bounds.bqp_growth_ceiling, (16, 2, 1), 4.0),
+    (bounds.bqp_growth_ceiling, (64, 3, 4), 7680.0),
+    (bounds.bqp_growth_ceiling, (1024, 4, 5), 58720256.0),
+    (bounds.hybrid_dqck_growth_ceiling, (16, 1, 2, 2), 21.213203435596427),
+    (bounds.hybrid_dqck_growth_ceiling, (64, 3, 3, 4), 22808.43633395328),
+    (bounds.hybrid_dqck_growth_ceiling, (1024, 12, 4, 5), 830472192.0),
+]
+
+
+@pytest.mark.parametrize("ceiling, point, value", _PINNED_CEILINGS, ids=[
+    f"{c.__name__}-{'-'.join(map(str, p))}" for c, p, _ in _PINNED_CEILINGS])
+def test_ceiling_values_are_pinned(ceiling, point, value):
+    assert ceiling(*point) == value
+
+
 @pytest.mark.parametrize("prob", ["1.7", "-0.1", "nan"])
 def test_growth_rejects_out_of_range_random_restriction(prob, tmp_path):
     argv = ["growth", "--model", "bqp", "--n", "2", "--d", "1", "--trials", "1",
@@ -200,6 +264,27 @@ def test_tightness_checks_the_empty_set_coefficient(monkeypatch, tmp_path):
     assert abs(doc["growth"] - doc["expected_growth"]) <= cli.MATCH_TOL
 
 
+def test_tightness_checks_its_growth(monkeypatch, tmp_path):
+    # the coefficients stay the table's; only the level-d growth reads 1e-7 high
+    real = fourier.growth
+    monkeypatch.setattr(fourier, "growth", lambda sp, level: real(sp, level) + 1e-7)
+    out = tmp_path / "tight.json"
+    assert main(["tightness", "--n", "1", "--d", "2", "--workers", "1", "--out", str(out)]) == 1
+    doc = json.loads(out.read_text())
+    assert doc["pass"] is False
+    assert doc["nonzero_coefficients"] == doc["expected_nonzero"]
+
+
+def test_tightness_checks_each_coefficient(monkeypatch, tmp_path):
+    def nudge_one(coeffs):
+        coeffs[np.flatnonzero(np.abs(coeffs) > cli.ZERO_TOL)[-1]] += 1e-7
+
+    code, doc = _tightness_with(nudge_one, monkeypatch, tmp_path)
+    assert code == 1
+    assert doc["pass"] is False
+    assert doc["nonzero_coefficients"] == doc["expected_nonzero"]
+
+
 def test_tightness_resource_error():
     assert main(["tightness", "--n", "3", "--d", "3"]) == 2
 
@@ -227,6 +312,17 @@ def _spec_doc(**changes):
            "unitaries": [{"kind": "hadamard"}, {"kind": "hadamard"}]}
     doc.update(changes)
     return doc
+
+
+@pytest.mark.parametrize("top, code", [(1.0, 0), (1 + 1e-7, 2)], ids=["unitary", "1e-7-off"])
+def test_spectrum_refuses_a_gate_off_unitary(top, code, tmp_path, capsys):
+    # gate 0 = diag(top, 1): 1e-7 off leaves a residual ~140 times UNITARY_TOL's allowance
+    gate = {"kind": "explicit", "rows": [[[top, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(_spec_doc(unitaries=[gate, {"kind": "hadamard"}])))
+    assert main(["spectrum", "--spec", str(path), "--out", str(tmp_path / "sp.csv")]) == code
+    err = capsys.readouterr().err
+    assert ("gate 0 is not unitary" in err) == (code == 2)
 
 
 @pytest.mark.parametrize("doc", [

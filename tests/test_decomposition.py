@@ -386,7 +386,7 @@ def test_sliced_verify_keeps_the_bits_of_the_whole_block_compare(monkeypatch):
                         lambda self, i, s: pushed.append(i.size) or push(self, i, s))
     slices = {}
     for slice_bytes in (1, 5000):
-        monkeypatch.setattr(decomposition, "SLICE_BYTES", slice_bytes)
+        monkeypatch.setattr(linalg, "SLICE_BYTES", slice_bytes)
         for spec, expected in zip(specs, want):
             pushed.clear()
             assert json.dumps(verify(spec), sort_keys=True) == expected
@@ -533,26 +533,15 @@ def test_augmented_indexer_codec(data):
             ix.encode(index, s_mask, digits[:p], digits[p:])
 
 
-def test_augmented_guard():
-    mats = _unitaries(8, 2, 95)
-    spec = DecompositionSpec(
-        IndexSpace(8, 1, 1),
-        mats,
-        tracked=8,
-        equality_pairs=(),
-        memory_positions=(2,),
-    )
-    # 8 * 2^8 * 9 = 18432 fits; bump with another memory slot via depth-3 chain
-    big = DecompositionSpec(
-        IndexSpace(8, 1, 1),
-        _unitaries(8, 3, 96),
-        tracked=8,
-        memory_positions=(2, 3),
-    )
-    assert big.space.total_dim * (1 << 8) * 9 * 9 > AUGMENTED_DIM_GUARD
-    with pytest.raises(ResourceLimitError):
-        decompose_improved(big)
-    decompose_improved(spec)   # the smaller one builds fine
+def test_verify_runs_past_the_old_augmented_count():
+    # M = 2, depth 10, both coordinates tracked, a memory slot at each of positions 2..10:
+    # 2 * 2^2 * 3^9 = 157,464 states, which the 65,536-state count used to refuse; only
+    # bytes refuse a decomposition now, and these fit
+    spec = DecompositionSpec(IndexSpace(2), _unitaries(2, 10, 310), tracked=2,
+                             memory_positions=tuple(range(2, 11)))
+    report = verify(spec)
+    assert report["augmented_dim"] == 157464 > AUGMENTED_DIM_GUARD
+    assert report["pass"]
 
 
 def test_spectrum_via_decomposition_constant_circuit():
@@ -718,14 +707,24 @@ def test_decomposition_byte_guards_refuse_before_they_allocate(monkeypatch):
 
 
 def test_read_off_past_the_memory_budget_is_refused_before_the_factors():
-    # M = 256 with 8 free coordinates: augmented dimension 65536, under its guard, but
-    # the four factors are predicted at 20 * 6 * 65536 * 256 bytes (~1.9 GiB)
+    # M = 256 with 8 free coordinates: augmented dimension 65536, whose four factors are
+    # predicted at 20 * 6 * 65536 * 256 bytes (~1.9 GiB)
     spec = random_spec(Model.BQP, IndexSpace(256), 2, np.random.default_rng(97))
     rho = Restriction(np.array([0] * 8 + [1] * 248))
     spec.restricted_chain(rho)  # formula matrices built outside the traced call
     peak = _refusal_peak(lambda: spectrum_via_decomposition(spec, rho),
                          r"^factor build needs 2013265920 bytes, guard is 1073741824$")
     assert peak <= 16 << 20  # the relabeled chain only: 4 M^2 complex entries
+
+
+def test_read_off_of_every_coordinate_at_n_16_is_refused_by_its_bytes():
+    # N = M = 16 with all 16 coordinates free: 2^20 augmented states, refused by the factor
+    # build's 20 * 6 * 2^20 * 16 bytes (~1.9 GiB), not by a count, before any factor
+    spec = random_spec(Model.BQP, IndexSpace(16), 2, np.random.default_rng(16))
+    spec.restricted_chain(None)  # formula matrices built outside the traced call
+    peak = _refusal_peak(lambda: spectrum_via_decomposition(spec),
+                         r"^factor build needs 2013265920 bytes, guard is 1073741824$")
+    assert peak <= 1 << 20
 
 
 def test_spectrum_via_decomposition_on_tightness_circuit():

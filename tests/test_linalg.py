@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qgrowth import decomposition, fourier, linalg
+from qgrowth import decomposition, fourier, linalg, models
 from qgrowth.errors import ResourceLimitError
 from qgrowth.linalg import (
     IndexSpace,
@@ -255,8 +255,6 @@ _COST_SITES = {
                    _direct_sum_site),
     "block-tensor": (linalg, "MEMORY_BUDGET", 265792, "level-3 block tensor", "bytes",
                      _block_tensor_site),
-    "augmented": (decomposition, "AUGMENTED_DIM_GUARD", 8, "augmented index", "states",
-                  _decompose_site),
     "brute-tensor": (linalg, "MEMORY_BUDGET", 1024, "brute force", "bytes", _brute_tensor_site),
     "factor-build": (linalg, "MEMORY_BUDGET", 1280, "factor build", "bytes", _decompose_site),
     "row-push": (linalg, "MEMORY_BUDGET", 1984, "row push", "bytes", _row_push_site),
@@ -288,9 +286,46 @@ def test_one_memory_budget_moves_every_byte_guard(monkeypatch):
         _row_push_site()()
 
 
-def test_every_cost_check_states_bytes_but_the_two_documented_counts():
+def _slicing_under(slice_bytes, monkeypatch):
+    """With ``linalg.SLICE_BYTES`` alone set to ``slice_bytes``: the rows of each table
+    chunk, the kernel plan's traced peak, the direct sum's slice count and the rows of
+    each of ``verify``'s slices."""
+    monkeypatch.setattr(linalg, "SLICE_BYTES", slice_bytes)
+    chunks, slices, pushed = [], [], []
+    table_chunk, einsum = models._table_chunk, np.einsum
+    push = decomposition.AugmentedMatrix._rows
+    monkeypatch.setattr(models, "_table_chunk",
+                        lambda spec, x: chunks.append(len(x)) or table_chunk(spec, x))
+    monkeypatch.setattr(np, "einsum", lambda *a, **k: slices.append(1) or einsum(*a, **k))
+    monkeypatch.setattr(decomposition.AugmentedMatrix, "_rows",
+                        lambda self, i, s: pushed.append(i.size) or push(self, i, s))
+    truth_table(random_spec(Model.BQP, IndexSpace(4), 1, np.random.default_rng(3)))
+    # BQP at N = M = 128, d = 2, one accepted outcome: the 256 KiB fold is the plan's
+    # largest array, and a whole-fold product takes as much again
+    spec = AlgorithmSpec(Model.BQP, IndexSpace(128), 2,
+                         tuple(random_unitary(128, seed) for seed in range(3)), np.arange(128) == 0)
+    tracemalloc.start()
+    spec._kernel_plan
+    plan_peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    fourier.direct_restricted_spectrum(
+        random_spec(Model.BQP, IndexSpace(2), 1, np.random.default_rng(1)))  # 2^2 paths
+    decomposition.verify(_decomposition_spec())  # 8 start rows
+    return chunks, plan_peak, len(slices), pushed
+
+
+def test_one_slice_setting_sizes_every_sliced_loop(monkeypatch):
+    chunks, plan_peak, slices, pushed = _slicing_under(1 << 30, monkeypatch)
+    assert (chunks, slices, pushed) == ([8], 1, [8])
+    small = _slicing_under(16, monkeypatch)  # every loop at its smallest slice
+    assert (small[0], small[2], small[3]) == ([4, 4], 4, [1] * 8)
+    assert small[1] < plan_peak - (128 << 10)  # the fold is formed one coordinate a step
+
+
+def test_every_cost_check_states_bytes_but_the_direct_sum_count():
     # a count guard beside a byte price can admit what the bytes refuse (a path count let
-    # 4.3 GB of brute-force bins through), so only the two count caps README names remain
+    # 4.3 GB of brute-force bins through) or refuse what they admit (a state count refused
+    # 69,632 states whose factors fit), so only the count cap README names remains
     units = {}
     for path in sorted((Path(__file__).parents[1] / "src" / "qgrowth").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -302,7 +337,7 @@ def test_every_cost_check_states_bytes_but_the_two_documented_counts():
     assert units == {
         "kernel plan": "bytes", "level-3 block tensor": "bytes", "factor build": "bytes",
         "row push": "bytes", "brute force": "bytes", "verify": "bytes",
-        "augmented index": "states", "direct summation": "tuples",
+        "direct summation": "tuples",
     }
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qgrowth import models
+from qgrowth import linalg, models
 from qgrowth.errors import ResourceLimitError
 from qgrowth.forrelation import tightness_circuit
 from qgrowth.fourier import spectrum_of_algorithm
@@ -288,7 +288,7 @@ def test_half_bqp_table_is_mean_of_per_start_bqp_tables(n, w, d, seed):
 
 
 def _slice_bytes(spec, rows):
-    """A ``models.SLICE_BYTES`` that holds ``rows`` inputs' (S, M) complex slabs: the
+    """A ``linalg.SLICE_BYTES`` that holds ``rows`` inputs' (S, M) complex slabs: the
     table's chunk is then ``rows`` rounded down to a power of two in [4, 1024]."""
     return 16 * rows * spec.start_indices().size * spec.space.total_dim
 
@@ -297,7 +297,7 @@ def test_truth_table_worker_determinism(monkeypatch):
     rng = np.random.default_rng(14)
     space = IndexSpace.qubits(2, 0, 1)
     spec = random_spec(Model.DQCK, space, 2, rng)
-    monkeypatch.setattr(models, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
     one = truth_table(spec, workers=1)
     many = truth_table(spec, workers=4)
     assert np.array_equal(one, many)
@@ -319,7 +319,7 @@ def test_truth_table_matches_formula_on_every_entry(model, d, w, n, star_prob, r
     space = IndexSpace.qubits(n, w, 1 if model is Model.DQCK else 0)
     spec = random_spec(model, space, d, rng)
     rho = random_restriction(space.oracle_dim, rng, star_prob=star_prob)
-    with mock.patch.object(models, "SLICE_BYTES", _slice_bytes(spec, rows)):
+    with mock.patch.object(linalg, "SLICE_BYTES", _slice_bytes(spec, rows)):
         table = truth_table(spec, rho)
     free = rho.free_indices
     assert table.shape == (1 << free.size,)
@@ -359,7 +359,7 @@ def test_truth_table_starts_at_most_one_thread_per_chunk(monkeypatch):
 
     monkeypatch.setattr(models_module, "ThreadPoolExecutor", recording_pool)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)  # the chunk count is the binding cap
-    monkeypatch.setattr(models, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 1, np.random.default_rng(3))
     one = truth_table(spec, workers=1)
     assert np.array_equal(truth_table(spec, workers=64), one)
@@ -500,7 +500,7 @@ def test_table_bits_hold_at_every_chunk_that_is_a_multiple_of_4(model, n, d, res
     rho = random_restriction(spec.num_inputs, rng) if restricted else None
     want = truth_table(spec, rho)
     for rows in (4, 8, 64, 256, 1024):
-        monkeypatch.setattr(models, "SLICE_BYTES", _slice_bytes(spec, rows))
+        monkeypatch.setattr(linalg, "SLICE_BYTES", _slice_bytes(spec, rows))
         for workers in (1, 2):
             assert np.array_equal(truth_table(spec, rho, workers=workers), want)
 
@@ -526,7 +526,7 @@ def test_unrestricted_table_equals_a_sweep_of_every_input(model, d, workers, mon
     spec = random_spec(model, _space(model), d, np.random.default_rng(40 + d))
     n = spec.num_inputs
     every = _table_chunk(spec, _mask_inputs(np.arange(1 << n), Restriction.all_free(n)))
-    monkeypatch.setattr(models, "SLICE_BYTES", _slice_bytes(spec, 16))
+    monkeypatch.setattr(linalg, "SLICE_BYTES", _slice_bytes(spec, 16))
     assert np.array_equal(truth_table(spec, workers=workers), every)
 
 
@@ -549,7 +549,7 @@ def test_table_inputs_match_per_mask_decoding(pattern, chunk, monkeypatch):
     monkeypatch.setattr(models_module, "_table_chunk", recording_chunk)
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 2, np.random.default_rng(9))
     rho = Restriction.all_free(4) if pattern is None else Restriction.from_string(pattern)
-    monkeypatch.setattr(models, "SLICE_BYTES", _slice_bytes(spec, chunk))
+    monkeypatch.setattr(linalg, "SLICE_BYTES", _slice_bytes(spec, chunk))
     table = truth_table(spec, None if pattern is None else rho)
     swept = table.size // 2 if rho.fixed_indices.size == 0 else table.size
     assert all(x.dtype == float and x.flags.c_contiguous for x in fed)
@@ -573,7 +573,7 @@ def test_only_an_unrestricted_table_simulates_half_the_cube(pattern, rows, monke
     monkeypatch.setattr(models_module, "_table_chunk", counting_chunk)
     spec = random_spec(Model.BQP, IndexSpace.qubits(2), 2, np.random.default_rng(5))
     rho = None if pattern is None else Restriction.from_string(pattern)
-    monkeypatch.setattr(models, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
+    monkeypatch.setattr(linalg, "SLICE_BYTES", 1)  # chunks of 4 rows, the smallest
     table = truth_table(spec, rho)
     assert sum(simulated) == rows
     assert table.size == (16 if pattern is None else 1 << pattern.count("*"))
